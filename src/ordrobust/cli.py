@@ -38,12 +38,13 @@ from .datasim import (
 from .diagnostics import (
     Contamination,
     UnstableIndexError,
+    _derived_seed,
     posterior_robustness_sweep,
     robustness_report,
     score_estimates,
     summarize,
 )
-from .links import get_link
+from .links import LINKS, get_link
 from .losses import DegenerateObjectiveError, LossSpec, Prior
 from .model import ContractError, Theta, generalized_residuals
 from .wlb import SamplingFailureError, WlbConfig, wlb_sample
@@ -106,13 +107,6 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict,
     )
 
 
-def _derived_seed(seed: int, key: tuple) -> int:
-    state = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(
-        1, np.uint64
-    )
-    return int(state[0])
-
-
 def _resolve_workers(args) -> int:
     env = os.environ.get("ORDROBUST_WORKERS")
     if env is not None:
@@ -129,14 +123,24 @@ def _resolve_workers(args) -> int:
     return workers
 
 
+def _floats(what: str, cells) -> list:
+    """float() of every nonblank cell; a bad cell is a ContractError."""
+    out = []
+    for cell in cells:
+        if cell.strip():
+            try:
+                out.append(float(cell))
+            except ValueError:
+                raise ContractError(
+                    f"{what}: {cell.strip()!r} is not a number"
+                ) from None
+    return out
+
+
 def _loss_specs(args) -> list:
-    """(cli_name, LossSpec) pairs from --losses / --tunings or --loss."""
-    if hasattr(args, "loss"):
-        losses = [args.loss]
-        tunings = [args.tuning]
-    else:
-        losses = [s.strip() for s in args.losses.split(",") if s.strip()]
-        tunings = [float(s) for s in args.tunings.split(",") if s.strip()]
+    """(cli_name, LossSpec) pairs from --losses and --tunings."""
+    losses = [s.strip() for s in args.losses.split(",") if s.strip()]
+    tunings = _floats("--tunings", args.tunings.split(","))
     out = []
     for name in losses:
         if name not in _CLI_LOSS:
@@ -186,7 +190,7 @@ def _add_common(sub, with_data: bool = True):
         sub.add_argument("--preprocess", required=True,
                          help="JSON preprocessing spec: {response, edges?, columns?}")
     sub.add_argument("--link", default="probit",
-                     choices=["probit", "logit", "loglog", "cloglog", "cauchit"])
+                     choices=sorted(LINKS))
     sub.add_argument("--draws", type=int, default=500, help="posterior draws B")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--prior-sd", type=float, default=10.0,
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--losses", default="loglik,dp,gamma-syn,gamma-gen")
     p_sim.add_argument("--tunings", default="0.3,0.5")
     p_sim.add_argument("--link", default=None,
-                       choices=["probit", "logit", "loglog", "cloglog", "cauchit"],
+                       choices=sorted(LINKS),
                        help="defaults to the link matching --error")
     p_sim.add_argument("--draws", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -292,23 +296,18 @@ def cmd_fit(args) -> None:
 
 
 def _theta_from_summary(path: str, data) -> Theta:
+    """Posterior means from a summary.csv: p beta rows, then M-1 deltas."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("parameter,"):
         raise ContractError(f"{path}: not a summary.csv file")
-    means = {}
-    order = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        means[cells[0]] = float(cells[1])
-        order.append(cells[0])
-    beta = [means[c] for c in order if not c.startswith("delta")]
-    delta = [means[c] for c in order if c.startswith("delta")]
-    if len(beta) != data.p or len(delta) != data.n_categories - 1:
+    rows = [ln.split(",") for ln in lines[1:]]
+    means = _floats(path, [r[1] for r in rows if len(r) > 1])
+    if len(means) != len(rows) or len(rows) != data.p + data.n_categories - 1:
         raise ContractError(
             f"{path}: parameter set does not match the dataset"
         )
-    return Theta(beta=np.array(beta), delta=np.array(delta))
+    return Theta(beta=means[:data.p], delta=means[data.p:])
 
 
 def cmd_residuals(args) -> None:
@@ -353,7 +352,7 @@ def cmd_residuals(args) -> None:
 def cmd_simulate(args) -> None:
     t0 = time.monotonic()
     workers = _resolve_workers(args)
-    rhos = [float(s) for s in args.rho.split(",") if s.strip()]
+    rhos = _floats("--rho", args.rho.split(","))
     specs = _loss_specs(args)
     link_name = args.link if args.link is not None else ERROR_LINKS[args.error]
     link = get_link(link_name)
@@ -452,7 +451,7 @@ def cmd_robustness(args) -> None:
     else:
         if args.unit is None:
             raise ContractError("--mode sweep requires --unit")
-        omegas = tuple(float(s) for s in args.omegas.split(",") if s.strip())
+        omegas = _floats("--omegas", args.omegas.split(","))
         contamination = Contamination(
             unit=args.unit, covariate=args.covariate,
             direction=args.direction, omegas=omegas,

@@ -29,7 +29,7 @@ from scipy.special import logsumexp
 
 from .datasim import inject_outlier
 from .links import Link
-from .losses import LossSpec, Prior, loo_log_ratio
+from .losses import LossSpec, Prior, _loo_log_ratios, loo_log_ratio
 from .model import ContractError, Dataset, Theta, category_probs
 from .wlb import PosteriorDraws, WlbConfig, wlb_sample
 
@@ -143,33 +143,37 @@ def summarize(draws: PosteriorDraws, level: float = 0.95) -> SummaryTable:
     )
 
 
-def _affinity_from_logratios(ell: np.ndarray) -> float:
-    """Self-normalized Hellinger affinity from log kernel ratios."""
-    B = ell.size
-    log_aff = logsumexp(ell / 2.0) - 0.5 * logsumexp(ell) - 0.5 * np.log(B)
-    return float(min(np.exp(log_aff), 1.0))
+def _unit_affinity(ell: np.ndarray, i: int) -> float:
+    """Self-normalized Hellinger affinity from unit i's log kernel ratios.
 
-
-def _usable_thetas(draws: PosteriorDraws):
-    return [t for t, ok in zip(draws.draws, draws.ok_mask) if ok]
-
-
-def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
-                     prior: Prior, link: Link, i: int) -> float:
-    """Geodesic angle between the full and leave-i-out posteriors."""
-    thetas = _usable_thetas(draws)
-    if len(thetas) < 2:
-        raise ContractError("need at least 2 usable draws")
-    ell = np.array(
-        [loo_log_ratio(spec, t, data, i, prior, link) for t in thetas]
-    )
+    Non-finite ratios are dropped; more than half of them raises.
+    """
     finite = np.isfinite(ell)
     if np.sum(~finite) > 0.5 * ell.size:
         raise UnstableIndexError(
             f"unit {i}: {int(np.sum(~finite))} of {ell.size} draws gave "
             "non-finite leave-one-out log ratios"
         )
-    return float(np.arccos(_affinity_from_logratios(ell[finite])))
+    ell = ell[finite]
+    log_aff = (
+        logsumexp(ell / 2.0) - 0.5 * logsumexp(ell) - 0.5 * np.log(ell.size)
+    )
+    return float(min(np.exp(log_aff), 1.0))
+
+
+def _usable_thetas(draws: PosteriorDraws):
+    thetas = [t for t, ok in zip(draws.draws, draws.ok_mask) if ok]
+    if len(thetas) < 2:
+        raise ContractError("need at least 2 usable draws")
+    return thetas
+
+
+def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
+                     prior: Prior, link: Link, i: int) -> float:
+    """Geodesic angle between the full and leave-i-out posteriors."""
+    ell = np.array([loo_log_ratio(spec, t, data, i, prior, link)
+                    for t in _usable_thetas(draws)])
+    return float(np.arccos(_unit_affinity(ell, i)))
 
 
 def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
@@ -180,43 +184,16 @@ def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     table, so the whole report costs one table per draw instead of one
     per (draw, unit).
     """
-    thetas = _usable_thetas(draws)
-    if len(thetas) < 2:
-        raise ContractError("need at least 2 usable draws")
-    n = data.n
-    rows = np.arange(n)
-    kind, t = spec.kind, spec.tuning
-    ell = np.empty((len(thetas), n))
-    for b, theta in enumerate(thetas):
+    rows = np.arange(data.n)
+    ell = []
+    for theta in _usable_thetas(draws):
         P = category_probs(theta, data.X, link)
-        f = P[rows, data.y - 1]
-        if kind == "loglik":
-            ell[b] = -np.log(f)
-            continue
-        S = (P ** (1.0 + t)).sum(axis=1)
-        if kind == "dp":
-            ell[b] = -(f ** t / t - S / (1.0 + t))
-        else:
-            r = f ** t * S ** (-t / (1.0 + t)) / t
-            if kind == "gamma_general":
-                ell[b] = -r
-            else:
-                total = r.sum()
-                ell[b] = (n / t) * (np.log(total - r) - np.log(total))
-
-    index = np.empty(n)
-    affinity = np.empty(n)
-    for i in range(n):
-        col = ell[:, i]
-        finite = np.isfinite(col)
-        if np.sum(~finite) > 0.5 * col.size:
-            raise UnstableIndexError(
-                f"unit {i}: {int(np.sum(~finite))} of {col.size} draws gave "
-                "non-finite leave-one-out log ratios"
-            )
-        affinity[i] = _affinity_from_logratios(col[finite])
-        index[i] = np.arccos(affinity[i])
-    return RobustnessReport(unit_indices=rows, index=index, affinity=affinity)
+        ell.append(_loo_log_ratios(spec, P, P[rows, data.y - 1]))
+    ell = np.array(ell)
+    affinity = np.array([_unit_affinity(ell[:, i], i) for i in rows])
+    return RobustnessReport(
+        unit_indices=rows, index=np.arccos(affinity), affinity=affinity
+    )
 
 
 def _derived_seed(seed: int, key: tuple) -> int:

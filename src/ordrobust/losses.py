@@ -112,25 +112,60 @@ def unit_dp_loss(theta: Theta, x, y: int, alpha: float, link: Link) -> float:
     """Density-power loss of one unit; in [-1/(1+alpha), 1/alpha]."""
     if not alpha > 0:
         raise ContractError("alpha must be positive")
-    P = category_probs(theta, x, link)
-    f = _observed_prob(P, y)
-    return float(f ** alpha / alpha - (P ** (1.0 + alpha)).sum() / (1.0 + alpha))
+    return _one_unit_loss(LossSpec(kind="dp", tuning=alpha), theta, x, y, link)
 
 
 def unit_gamma_loss(theta: Theta, x, y: int, gamma: float, link: Link) -> float:
     """Gamma-divergence loss of one unit; in [0, 1/gamma]."""
     if not gamma > 0:
         raise ContractError("gamma must be positive")
+    return _one_unit_loss(
+        LossSpec(kind="gamma_general", tuning=gamma), theta, x, y, link
+    )
+
+
+def _one_unit_loss(spec: LossSpec, theta: Theta, x, y: int, link: Link) -> float:
+    """r of one unit with covariates x and observed category y."""
     P = category_probs(theta, x, link)
-    f = _observed_prob(P, y)
-    S = (P ** (1.0 + gamma)).sum()
-    return float(f ** gamma * S ** (-gamma / (1.0 + gamma)) / gamma)
+    return float(_unit_losses(spec, P, _observed_prob(P, y)))
 
 
 def _observed_prob(P: np.ndarray, y: int) -> float:
     if not 1 <= y <= P.size:
         raise ContractError(f"category {y} outside 1..{P.size}")
     return float(P[y - 1])
+
+
+def _unit_losses(spec: LossSpec, P: np.ndarray, f):
+    """Per-unit r of every kind: log f, r_DP, or r_g for both gamma kinds.
+
+    P holds probability rows (..., M) and f the matching probabilities
+    of the observed categories; one row with a scalar f gives one loss.
+    The loss term of every kind but gamma_synthetic is -n sum_i s_i r_i.
+    """
+    kind, t = spec.kind, spec.tuning
+    if kind == "loglik":
+        return np.log(f)
+    S = (P ** (1.0 + t)).sum(axis=-1)
+    if kind == "dp":
+        return f ** t / t - S / (1.0 + t)
+    return f ** t * S ** (-t / (1.0 + t)) / t
+
+
+def _loo_log_ratios(spec: LossSpec, P: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Leave-one-out log kernel ratio of every unit of the table P (n, M).
+
+    -r_i for the additive kinds.  For gamma_synthetic it is the
+    difference of the two non-additive kernels, (n/g)(log(T - r_i) -
+    log T) with T = sum_i r_i, which is non-finite where removing the
+    unit leaves no positive loss sum.
+    """
+    r = _unit_losses(spec, P, f)
+    if spec.kind != "gamma_synthetic":
+        return -r
+    n, t = P.shape[0], spec.tuning
+    total = r.sum()
+    return (n / t) * (np.log(total - r) - np.log(total))
 
 
 def log_prior(theta: Theta, prior: Prior) -> float:
@@ -210,22 +245,8 @@ class ObjectiveCore:
         A = delta[None, :] - eta[:, None]
         return u, gaps, A
 
-    def _unit_losses(self, P: np.ndarray, f: np.ndarray):
-        """Per-unit loss vector for the robust kinds; None for loglik."""
-        kind, t = self.spec.kind, self.spec.tuning
-        if kind == "loglik":
-            return None
-        if kind == "dp":
-            S = (P ** (1.0 + t)).sum(axis=1)
-            return f ** t / t - S / (1.0 + t)
-        S = (P ** (1.0 + t)).sum(axis=1)
-        return f ** t * S ** (-t / (1.0 + t)) / t
-
-    def _loss_term(self, r, f: np.ndarray, w: np.ndarray) -> float:
-        kind = self.spec.kind
-        if kind == "loglik":
-            return -self.n * float(w @ np.log(f))
-        if kind == "gamma_synthetic":
+    def _loss_term(self, r: np.ndarray, w: np.ndarray) -> float:
+        if self.spec.kind == "gamma_synthetic":
             g = self.spec.tuning
             T = float(w @ r)
             if not np.isfinite(T) or T <= 0.0:
@@ -245,9 +266,9 @@ class ObjectiveCore:
         u, _, A = self._split(u)
         P = _probs_from_args(A, self.link, clamp=True)
         f = P[self._rows, self._c]
-        r = self._unit_losses(P, f)
+        r = _unit_losses(self.spec, P, f)
         lp, _ = _log_prior_parts(u, self.p, self.prior)
-        return self.spec.learning_rate * self._loss_term(r, f, w) - lp
+        return self.spec.learning_rate * self._loss_term(r, w) - lp
 
     def value_and_grad(self, u, weights, validate_weights: bool = True):
         w = (
@@ -272,9 +293,9 @@ class ObjectiveCore:
         # -glo at j = c_i - 1, accumulated by _scatter_f below.
         deta_f = glo - ghi
 
-        r = self._unit_losses(P, f)
+        r = _unit_losses(self.spec, P, f)
         lp, lp_grad = _log_prior_parts(u, self.p, self.prior)
-        value = self.spec.learning_rate * self._loss_term(r, f, w) - lp
+        value = self.spec.learning_rate * self._loss_term(r, w) - lp
 
         if kind == "loglik":
             coef = -self.n * w / f
@@ -367,22 +388,14 @@ def loo_log_ratio(
     n = data.n
     if not 0 <= i < n:
         raise ContractError(f"unit index {i} outside 0..{n - 1}")
-    kind, t = spec.kind, spec.tuning
-    if kind == "loglik":
-        P = category_probs(theta, data.X[i], link)
-        return -float(np.log(P[data.y[i] - 1]))
-    if kind == "dp":
-        return -unit_dp_loss(theta, data.X[i], int(data.y[i]), t, link)
-    if kind == "gamma_general":
-        return -unit_gamma_loss(theta, data.X[i], int(data.y[i]), t, link)
+    if spec.kind != "gamma_synthetic":
+        # The additive ratio -r_i needs only unit i's own row.
+        return -_one_unit_loss(spec, theta, data.X[i], int(data.y[i]), link)
     P = category_probs(theta, data.X, link)
-    f = P[np.arange(n), data.y - 1]
-    S = (P ** (1.0 + t)).sum(axis=1)
-    r = f ** t * S ** (-t / (1.0 + t)) / t
-    total = float(r.sum())
-    rest = total - float(r[i])
-    if rest <= 0.0 or total <= 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell = _loo_log_ratios(spec, P, P[np.arange(n), data.y - 1])[i]
+    if not np.isfinite(ell):
         raise DegenerateObjectiveError(
             "gamma loss sum is not positive after removing the unit"
         )
-    return (n / t) * (np.log(rest) - np.log(total))
+    return float(ell)

@@ -238,6 +238,31 @@ class TestResiduals:
         res, lo = float(last[2]), float(last[3])
         assert res < lo  # y = 1 at x = 25: far below the lower band
 
+    @pytest.mark.parametrize("name", ["delta_t", "delta1"])
+    def test_from_summary_with_delta_named_covariate(self, tmp_path, name):
+        # parameters are split by position, so a covariate whose name
+        # starts with "delta", or equals a cutpoint's, still round-trips
+        data, pre = make_inputs(tmp_path)
+        text = open(data, encoding="utf-8").read()
+        open(data, "w", encoding="utf-8").write(
+            text.replace("y,x\n", f"y,{name}\n", 1)
+        )
+        fit_out = tmp_path / "fit"
+        assert main([
+            "fit", "--data", data, "--preprocess", pre, "--loss", "loglik",
+            "--draws", "20", "--seed", "5", "--out-dir", str(fit_out),
+        ]) == 0
+        _, srows = read_table(fit_out / "summary.csv")
+        assert [r[0] for r in srows] == [name, "delta1", "delta2"]
+        res_out = tmp_path / "res"
+        assert main([
+            "residuals", "--data", data, "--preprocess", pre,
+            "--from-summary", str(fit_out / "summary.csv"),
+            "--out-dir", str(res_out),
+        ]) == 0
+        _, rrows = read_table(res_out / "residuals.csv")
+        assert len(rrows) == 40
+
     def test_malformed_summary_rejected(self, tmp_path, capsys):
         data, pre = make_inputs(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -294,6 +319,27 @@ class TestSimulate:
         ])
         assert code == 2
         assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--error", "normal", "--losses", "dp",
+          "--tunings", "0.5,abc"], "--tunings"),
+        (["simulate", "--error", "normal", "--rho", "0.2,abc"], "--rho"),
+        (["robustness", "--mode", "index", "--losses", "dp",
+          "--tunings", "0.5,abc"], "--tunings"),
+        (["robustness", "--mode", "sweep", "--unit", "0",
+          "--omegas", "0,abc"], "--omegas"),
+    ], ids=["simulate-tunings", "simulate-rho", "robustness-tunings",
+            "robustness-omegas"])
+    def test_bad_number_cell_is_usage_error(self, tmp_path, capsys, argv,
+                                            flag):
+        if argv[0] == "robustness":
+            data, pre = make_inputs(tmp_path)
+            argv = argv + ["--data", data, "--preprocess", pre]
+        code = main(argv + ["--draws", "10", "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "'abc'" in err
+        assert "Traceback" not in err
 
 
 class TestRobustness:

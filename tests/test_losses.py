@@ -302,19 +302,23 @@ class TestWeightedObjective:
             assert_allclose(ga, gb, rtol=0, atol=0)
 
     def test_core_wrapper_agreement(self):
+        # minimize mixes values from value() with gradients from
+        # value_and_grad(), so the two values must agree exactly
         rng = np.random.default_rng(28)
         data, u = small_instance(rng, n=5)
         w = np.full(5, 0.2)
-        spec = LossSpec(kind="gamma_synthetic", tuning=0.5)
-        core = ObjectiveCore(spec, data, Prior(), PROBIT)
-        assert weighted_objective(spec, u, data, w, Prior(), PROBIT) == \
-            core.value(u, w)
-        v, g = core.value_and_grad(u, w)
-        assert v == core.value(u, w)
-        assert_allclose(
-            g, weighted_objective_gradient(spec, u, data, w, Prior(), PROBIT),
-            rtol=0, atol=0,
-        )
+        for kind in ("loglik",) + ROBUST_KINDS:
+            spec = LossSpec(kind=kind, tuning=0.0 if kind == "loglik" else 0.5)
+            core = ObjectiveCore(spec, data, Prior(), PROBIT)
+            assert weighted_objective(spec, u, data, w, Prior(), PROBIT) == \
+                core.value(u, w)
+            v, g = core.value_and_grad(u, w)
+            assert v == core.value(u, w)
+            assert_allclose(
+                g,
+                weighted_objective_gradient(spec, u, data, w, Prior(), PROBIT),
+                rtol=0, atol=0,
+            )
 
 
 class TestGradients:
@@ -393,6 +397,18 @@ class TestLooLogRatio:
                 "gamma_synthetic", 0.5, theta, data.X, data.y, i, PROBIT
             )
             assert_allclose(got, want, rtol=1e-12)
+
+    def test_gamma_synthetic_dominating_unit_raises(self):
+        # unit 0 holds the entire synthetic loss sum, so removing it
+        # leaves log(0); removing either other unit changes nothing
+        data = Dataset(
+            y=[2, 2, 2], X=[[40.0], [-40.0], [-41.0]], n_categories=2
+        )
+        theta = Theta(beta=[1.0], delta=[0.0])
+        spec = LossSpec(kind="gamma_synthetic", tuning=1.5)
+        with pytest.raises(DegenerateObjectiveError):
+            loo_log_ratio(spec, theta, data, 0, Prior(), PROBIT)
+        assert loo_log_ratio(spec, theta, data, 1, Prior(), PROBIT) == 0.0
 
     def test_index_validation(self):
         data, theta = self.make_toy()
