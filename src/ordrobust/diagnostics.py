@@ -188,7 +188,10 @@ def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     ell = []
     for theta in _usable_thetas(draws):
         P = category_probs(theta, data.X, link)
-        ell.append(_loo_log_ratios(spec, P, P[rows, data.y - 1]))
+        # A unit holding the whole synthetic loss sum leaves log(0);
+        # _unit_affinity turns that into UnstableIndexError.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ell.append(_loo_log_ratios(spec, P, P[rows, data.y - 1]))
     ell = np.array(ell)
     affinity = np.array([_unit_affinity(ell[:, i], i) for i in rows])
     return RobustnessReport(

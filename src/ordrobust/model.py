@@ -22,6 +22,7 @@ delta_{k+1} = delta_k + exp(log gap k).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,12 @@ class Dataset:
             names = tuple(f"x{j + 1}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise ContractError("column_names length must match X columns")
+        for name in names:
+            if re.fullmatch(r"delta\d+", name):
+                raise ContractError(
+                    f"covariate name {name!r} is reserved for a cutpoint; "
+                    "rename the column"
+                )
         object.__setattr__(self, "column_names", names)
 
     @property

@@ -9,11 +9,20 @@ Each draw b owns an RNG stream spawned from (seed, b), so results are
 bit-identical for a fixed seed no matter how the draws are scheduled
 across workers.
 
-The minimizer is a dense BFGS with Armijo backtracking.  It is small
-enough to guarantee the contract the sampler needs: monotone descent,
-an honest status on every exit path, and tolerance of objectives that
-return +inf or nan in far regions (the step is shrunk until the value
-is finite).
+Every draw perturbs one M-estimation problem by O(n^-1/2) (Lyddon,
+Holmes & Walker 2019), so all draws share one start: the equal-weights
+optimum of the same objective, fitted once per sample in the calling
+process, with its final BFGS inverse Hessian as the first curvature
+estimate.  The start is computed before any worker pool exists and is
+shipped to every chunk unchanged.
+
+The minimizer is a dense BFGS.  A step is accepted by the Armijo test
+or, where Armijo can no longer resolve the decrease from rounding, by
+the approximate Wolfe test of Hager & Zhang (2005).  It guarantees the
+contract the sampler needs: the lowest iterate seen on every exit that
+is not converged, an honest status on every exit path, and tolerance
+of objectives that return +inf or nan in far regions (the step is
+shrunk until the value is finite).
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ __all__ = [
 ]
 
 _ARMIJO_C1 = 1e-4
+# Approximate Wolfe test (Hager & Zhang 2005, delta = 0.1, sigma = 0.9),
+# tried only where f rises by at most _WOLFE_FTOL * |f|.
+_WOLFE_FTOL = 1e-12
+_WOLFE_LOW = 0.9
+_WOLFE_HIGH = -0.8
 _MAX_BACKTRACKS = 60
 _CURVATURE_FLOOR = 1e-10
 # Rows whose robust z-score exceeds this in any usable covariate are
@@ -112,6 +126,9 @@ class MinimizeResult:
     status: str  # converged | max_iters | failed
     n_iters: int
     grad_norm: float
+    inv_hessian: np.ndarray | None = None  # final BFGS matrix
+    n_fevals: int = 0
+    n_gevals: int = 0
 
 
 def sample_dirichlet_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,30 +139,50 @@ def sample_dirichlet_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6) -> MinimizeResult:
-    """Dense BFGS with Armijo backtracking.
+def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6,
+             H0=None) -> MinimizeResult:
+    """Dense BFGS with Armijo backtracking and approximate-Wolfe acceptance.
+
+    A trial step x + t*p is accepted if it passes Armijo.  Near the
+    optimum the decrease Armijo asks for drops below the rounding of
+    f, so a finite trial that fails Armijo with f_try <= f + 1e-12*|f|
+    is accepted instead if its directional derivative passes the
+    approximate Wolfe test 0.9*g.p <= g_try.p <= -0.8*g.p; the
+    gradient taken for that test becomes the new gradient.  H0 seeds
+    the inverse Hessian approximation; None starts from the identity,
+    rescaled after the first step.
 
     status converged means the gradient 2-norm fell to grad_tol or
-    below; max_iters means the budget ran out while still making
-    progress; failed means no acceptable finite step existed.  The
-    returned iterate is always the best one seen, and accepted steps
-    decrease fun monotonically.
+    below, and the current iterate is returned; max_iters means the
+    budget ran out; failed means no acceptable finite step existed.
+    An accepted step may raise fun by up to 1e-12*|fun|, so descent is
+    not monotone: max_iters and failed return the lowest iterate seen.
+    inv_hessian is the final BFGS matrix (None if it is still the
+    identity); n_fevals and n_gevals count calls of fun and grad.
     """
     x = np.asarray(x0, dtype=float).copy()
     d = x.size
+    H = None if H0 is None else np.asarray(H0, dtype=float)
     fx = float(fun(x))
+    n_f, n_g = 1, 0
     if not np.isfinite(fx):
-        return MinimizeResult(x, fx, "failed", 0, np.inf)
+        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_f, n_g)
     g = np.asarray(grad(x), dtype=float)
+    n_g += 1
     if not np.all(np.isfinite(g)):
-        return MinimizeResult(x, fx, "failed", 0, np.inf)
+        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_f, n_g)
+    gnorm = float(np.linalg.norm(g))
+    best_x, best_f, best_gnorm = x, fx, gnorm
 
-    H = None  # inverse Hessian approximation; None means identity
+    def best(status, n_iters):
+        return MinimizeResult(best_x, best_f, status, n_iters, best_gnorm,
+                              H, n_f, n_g)
+
     n_iters = 0
     for n_iters in range(1, max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
-            return MinimizeResult(x, fx, "converged", n_iters - 1, gnorm)
+            return MinimizeResult(x, fx, "converged", n_iters - 1, gnorm,
+                                  H, n_f, n_g)
 
         p = -g if H is None else -(H @ g)
         slope = float(g @ p)
@@ -157,20 +194,31 @@ def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6) -> Min
             slope = -(gnorm * gnorm)
 
         step = 1.0
-        accepted = False
+        g_new = None
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + step * p
             f_try = float(fun(x_try))
-            if np.isfinite(f_try) and f_try <= fx + _ARMIJO_C1 * step * slope:
-                accepted = True
-                break
+            n_f += 1
+            if np.isfinite(f_try):
+                if f_try <= fx + _ARMIJO_C1 * step * slope:
+                    break
+                if f_try <= fx + _WOLFE_FTOL * abs(fx):
+                    g_try = np.asarray(grad(x_try), dtype=float)
+                    n_g += 1
+                    if np.all(np.isfinite(g_try)) and (
+                        _WOLFE_LOW * slope <= float(g_try @ p) <= _WOLFE_HIGH * slope
+                    ):
+                        g_new = g_try
+                        break
             step *= 0.5
-        if not accepted:
-            return MinimizeResult(x, fx, "failed", n_iters, gnorm)
+        else:
+            return best("failed", n_iters)
 
-        g_new = np.asarray(grad(x_try), dtype=float)
-        if not np.all(np.isfinite(g_new)):
-            return MinimizeResult(x, fx, "failed", n_iters, gnorm)
+        if g_new is None:
+            g_new = np.asarray(grad(x_try), dtype=float)
+            n_g += 1
+            if not np.all(np.isfinite(g_new)):
+                return best("failed", n_iters)
 
         s = x_try - x
         yv = g_new - g
@@ -187,8 +235,23 @@ def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6) -> Min
                 1.0 + rho * float(yv @ Hy)
             ) * np.outer(s, s)
         x, fx, g = x_try, f_try, g_new
+        gnorm = float(np.linalg.norm(g))
+        if fx <= best_f:
+            best_x, best_f, best_gnorm = x, fx, gnorm
 
-    return MinimizeResult(x, fx, "max_iters", n_iters, float(np.linalg.norm(g)))
+    return best("max_iters", n_iters)
+
+
+def _weighted(core: ObjectiveCore, w: np.ndarray):
+    """The (fun, grad) pair that minimize needs for weights w."""
+
+    def fun(u):
+        return core.value(u, w, validate_weights=False)
+
+    def grad(u):
+        return core.value_and_grad(u, w, validate_weights=False)[1]
+
+    return fun, grad
 
 
 def _theta_for_storage(x: np.ndarray, n_beta: int) -> Theta:
@@ -262,14 +325,7 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link, config: WlbConfig,
     except ContractError:
         return x_base
     core = ObjectiveCore(LossSpec(kind="loglik"), sub, prior, link)
-    w = np.full(sub.n, 1.0 / sub.n)
-
-    def fun(u):
-        return core.value(u, w, validate_weights=False)
-
-    def jac(u):
-        return core.value_and_grad(u, w, validate_weights=False)[1]
-
+    fun, jac = _weighted(core, np.full(sub.n, 1.0 / sub.n))
     res = minimize(fun, jac, _initial_point(sub, link),
                    config.max_iters, config.grad_tol)
     if res.status == "failed" or not np.all(np.isfinite(res.x)):
@@ -277,9 +333,29 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link, config: WlbConfig,
     return res.x
 
 
-def _run_draws(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray,
-               b_range, equal_weights: bool):
-    """Minimize the weighted objective for each draw index in b_range."""
+def _shared_start(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray):
+    """Start point and inverse Hessian shared by every draw.
+
+    The equal-weights optimum of the sampled objective, fitted from
+    x_init, with the final BFGS matrix of that fit.  Every Dirichlet
+    draw is a small perturbation of this problem, so its minimization
+    starts one Newton step from its own optimum.  A fit that does not
+    converge falls back to x_init and the identity.
+    """
+    fun, jac = _weighted(core, np.full(core.n, 1.0 / core.n))
+    res = minimize(fun, jac, x_init, config.max_iters, config.grad_tol)
+    if res.status != "converged":
+        return x_init, None
+    return res.x, res.inv_hessian
+
+
+def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
+               H0, x_init: np.ndarray, b_range, equal_weights: bool):
+    """Minimize the weighted objective for each draw index in b_range.
+
+    Each draw starts at x_start with inverse Hessian H0; restarts
+    start from the identity at a jitter of x_init.
+    """
     n = core.n
     out = []
     for b in b_range:
@@ -290,14 +366,10 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray,
             w = np.full(n, 1.0 / n)
         else:
             w = sample_dirichlet_uniform(n, rng)
+        fun, jac = _weighted(core, w)
 
-        def fun(u, _w=w):
-            return core.value(u, _w, validate_weights=False)
-
-        def jac(u, _w=w):
-            return core.value_and_grad(u, _w, validate_weights=False)[1]
-
-        best = minimize(fun, jac, x_init, config.max_iters, config.grad_tol)
+        best = minimize(fun, jac, x_start, config.max_iters, config.grad_tol,
+                        H0=H0)
         flag = "converged" if best.status == "converged" else None
         if flag is None:
             for _ in range(config.restarts):
@@ -319,9 +391,11 @@ def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
     """Draw B approximate posterior samples by weighted minimization.
 
     Draw b is the argmin under the Dirichlet weights of stream
-    (seed, b); failures are flagged per draw, and more than 10% failed
-    draws abort the run.  _equal_weights freezes every weight vector
-    at 1/n (a testing hook: all draws then equal the penalized MLE).
+    (seed, b), started at the shared equal-weights optimum (see
+    _shared_start); failures are flagged per draw, and more than 10%
+    failed draws abort the run.  _equal_weights freezes every weight
+    vector at 1/n (a testing hook: all draws then equal the penalized
+    MLE).
     """
     observed = np.unique(data.y)
     missing = sorted(set(range(1, data.n_categories + 1)) - set(observed.tolist()))
@@ -339,6 +413,7 @@ def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
         # likelihood has no redescending structure and keeps the
         # classical empirical initialization.
         x_init = _pilot_init(data, prior, link, config, x_init)
+    x_start, H0 = _shared_start(core, config, x_init)
     B = config.n_draws
 
     if config.workers > 1 and B > 1:
@@ -348,14 +423,16 @@ def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
         results = []
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             futures = [
-                pool.submit(_run_draws, core, config, x_init, chunk, _equal_weights)
+                pool.submit(_run_draws, core, config, x_start, H0, x_init,
+                            chunk, _equal_weights)
                 for chunk in chunks
             ]
             for fut in futures:
                 results.extend(fut.result())
         results.sort(key=lambda t: t[0])
     else:
-        results = _run_draws(core, config, x_init, range(B), _equal_weights)
+        results = _run_draws(core, config, x_start, H0, x_init, range(B),
+                             _equal_weights)
 
     draws = tuple(_theta_for_storage(x, data.p) for _, x, _f in results)
     flags = np.array([f for _, _x, f in results])

@@ -238,15 +238,19 @@ class TestResiduals:
         res, lo = float(last[2]), float(last[3])
         assert res < lo  # y = 1 at x = 25: far below the lower band
 
-    @pytest.mark.parametrize("name", ["delta_t", "delta1"])
-    def test_from_summary_with_delta_named_covariate(self, tmp_path, name):
-        # parameters are split by position, so a covariate whose name
-        # starts with "delta", or equals a cutpoint's, still round-trips
-        data, pre = make_inputs(tmp_path)
+    @staticmethod
+    def rename_covariate(data, name):
         text = open(data, encoding="utf-8").read()
         open(data, "w", encoding="utf-8").write(
             text.replace("y,x\n", f"y,{name}\n", 1)
         )
+
+    @pytest.mark.parametrize("name", ["delta_t", "delta"])
+    def test_from_summary_with_delta_named_covariate(self, tmp_path, name):
+        # parameters are split by position, so a covariate whose name
+        # starts with "delta" still round-trips
+        data, pre = make_inputs(tmp_path)
+        self.rename_covariate(data, name)
         fit_out = tmp_path / "fit"
         assert main([
             "fit", "--data", data, "--preprocess", pre, "--loss", "loglik",
@@ -262,6 +266,18 @@ class TestResiduals:
         ]) == 0
         _, rrows = read_table(res_out / "residuals.csv")
         assert len(rrows) == 40
+
+    @pytest.mark.parametrize("name", ["delta1", "delta12"])
+    def test_cutpoint_named_covariate_rejected(self, tmp_path, capsys, name):
+        # summary.csv and draws.csv would carry two columns of this name
+        data, pre = make_inputs(tmp_path)
+        self.rename_covariate(data, name)
+        code = main([
+            "fit", "--data", data, "--preprocess", pre, "--loss", "loglik",
+            "--draws", "20", "--seed", "5", "--out-dir", str(tmp_path / "fit"),
+        ])
+        assert code == 2
+        assert repr(name) in capsys.readouterr().err
 
     def test_malformed_summary_rejected(self, tmp_path, capsys):
         data, pre = make_inputs(tmp_path)

@@ -1,6 +1,7 @@
 """Summaries, per-unit robustness indices, sweeps, scoring, autocorrelation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,11 @@ class TestRobustnessReport:
             param_names=("x1", "delta1"),
         )
         with np.errstate(divide="ignore"):
+            with pytest.raises(UnstableIndexError):
+                robustness_report(pd, data, pd.spec, Prior(), PROBIT)
+        # the log(0) behind it does not leak a RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(UnstableIndexError):
                 robustness_report(pd, data, pd.spec, Prior(), PROBIT)
 

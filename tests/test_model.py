@@ -88,6 +88,11 @@ class TestDataset:
             Dataset(y=[1, 2], X=[[0.0], [1.0]], n_categories=2,
                     column_names=("a", "b"))
 
+    def test_cutpoint_names_reserved(self):
+        with pytest.raises(ContractError, match="'delta2'"):
+            Dataset(y=[1, 2], X=[[0.0, 3.0], [1.0, 4.0]], n_categories=2,
+                    column_names=("delta_t", "delta2"))
+
     def test_shape_checks(self):
         with pytest.raises(ContractError):
             Dataset(y=[[1], [2]], X=[[0.0], [1.0]], n_categories=2)

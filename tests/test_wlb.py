@@ -9,6 +9,7 @@ from ordrobust import (
     Dataset,
     LossSpec,
     MinimizeResult,
+    ObjectiveCore,
     PosteriorDraws,
     Prior,
     SamplingFailureError,
@@ -25,6 +26,7 @@ from ordrobust import (
     wlb_sample,
 )
 import ordrobust.wlb as wlb_module
+from ordrobust.diagnostics import _derived_seed
 
 import oracles
 
@@ -38,6 +40,35 @@ def toy_data(rng, n=30, p=1, M=3):
     cuts = np.linspace(-1.0, 1.0, M - 1)
     y = 1 + np.sum(z[:, None] > cuts[None, :], axis=1)
     return Dataset(y=y, X=X, n_categories=M)
+
+
+def quadratic():
+    c = np.array([1.5, -2.0, 0.25])
+    return (lambda x: float(np.sum((x - c) ** 2))), (lambda x: 2.0 * (x - c))
+
+
+def rosenbrock():
+    def fun(v):
+        x, y = v
+        return float((1 - x) ** 2 + 100.0 * (y - x * x) ** 2)
+
+    def grad(v):
+        x, y = v
+        return np.array([
+            -2.0 * (1 - x) - 400.0 * x * (y - x * x),
+            200.0 * (y - x * x),
+        ])
+
+    return fun, grad
+
+
+def counted(fn):
+    """fn with a call counter in its .calls attribute."""
+    def wrapper(x):
+        wrapper.calls += 1
+        return fn(x)
+    wrapper.calls = 0
+    return wrapper
 
 
 class TestConfig:
@@ -108,17 +139,7 @@ class TestMinimize:
         assert res.grad_norm <= 1e-6
 
     def test_rosenbrock(self):
-        def fun(v):
-            x, y = v
-            return float((1 - x) ** 2 + 100.0 * (y - x * x) ** 2)
-
-        def grad(v):
-            x, y = v
-            return np.array([
-                -2.0 * (1 - x) - 400.0 * x * (y - x * x),
-                200.0 * (y - x * x),
-            ])
-
+        fun, grad = rosenbrock()
         res = minimize(fun, grad, np.array([-1.2, 1.0]), 2000, 1e-9)
         assert res.status == "converged"
         assert_allclose(res.x, [1.0, 1.0], atol=1e-5)
@@ -157,20 +178,94 @@ class TestMinimize:
         assert res.n_iters == 0
 
     def test_budget_exhaustion_reported(self):
-        def fun(v):
-            x, y = v
-            return float((1 - x) ** 2 + 100.0 * (y - x * x) ** 2)
-
-        def grad(v):
-            x, y = v
-            return np.array([
-                -2.0 * (1 - x) - 400.0 * x * (y - x * x),
-                200.0 * (y - x * x),
-            ])
-
+        fun, grad = rosenbrock()
         res = minimize(fun, grad, np.array([-1.2, 1.0]), 3, 1e-12)
         assert res.status == "max_iters"
         assert res.n_iters == 3
+
+    @pytest.mark.parametrize("problem, x0", [
+        (quadratic, [0.0, 0.0, 0.0]), (rosenbrock, [-1.2, 1.0]),
+    ], ids=["quadratic", "rosenbrock"])
+    def test_evaluation_counts(self, problem, x0):
+        fun, grad = (counted(f) for f in problem())
+        res = minimize(fun, grad, np.array(x0), 2000, 1e-9)
+        assert res.status == "converged"
+        assert res.n_fevals == fun.calls
+        assert res.n_gevals == grad.calls
+        assert res.n_gevals >= res.n_iters + 1
+
+    def test_exact_inverse_hessian_takes_one_newton_step(self):
+        A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        c = np.array([1.0, -2.0, 0.5])
+
+        def fun(x):
+            r = x - c
+            return float(0.5 * r @ A @ r)
+
+        res = minimize(fun, lambda x: A @ (x - c), np.array([5.0, 5.0, -5.0]),
+                       H0=np.linalg.inv(A))
+        assert res.status == "converged"
+        assert res.n_iters == 1
+        assert_allclose(res.x, c, atol=1e-10)
+        assert res.inv_hessian is not None
+
+    def test_approximate_wolfe_step_and_lowest_iterate(self):
+        # away from x0 the value sits 1e-13 above f(x0), below what
+        # Armijo can resolve, while the gradient still points at 0
+        def fun(x):
+            return 1.0 if x[0] == 1.0 else 1.0 + 1e-13
+
+        def grad(x):
+            return x.copy()
+
+        res = minimize(fun, grad, np.array([1.0]), max_iters=2)
+        assert res.status == "converged"
+        assert res.n_iters == 1
+        assert res.x[0] == 0.0
+        # stopped after the uphill step, it returns the lower start
+        capped = minimize(fun, grad, np.array([1.0]), max_iters=1)
+        assert capped.status == "max_iters"
+        assert capped.x[0] == 1.0
+        assert capped.fun == 1.0
+        assert capped.grad_norm == 1.0
+
+
+class TestStallRegression:
+    """Draws that stalled at the floating-point floor under Armijo alone.
+
+    Rep 0 of the criterion-8/9 design.  With Armijo backtracking only,
+    loglik draw 14 (seed 0) ran to the 500-iteration cap at |g| = 1.3e-6,
+    and gamma_general(0.3) draws 53 and 56 did the same; each then
+    needed a restart.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        data, _truth = simulate_contaminated(0.2, "normal", 200,
+                                             _derived_seed(808, (0, 0)))
+        return data
+
+    def test_floor_draw_converges_from_cold_start(self, data):
+        core = ObjectiveCore(LossSpec(kind="loglik"), data, Prior(), PROBIT)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=0, spawn_key=(14,)))
+        w = sample_dirichlet_uniform(data.n, rng)
+        res = minimize(
+            lambda u: core.value(u, w, validate_weights=False),
+            lambda u: core.value_and_grad(u, w, validate_weights=False)[1],
+            wlb_module._initial_point(data, PROBIT),
+        )
+        assert res.status == "converged"
+        assert res.grad_norm <= 1e-6
+        assert res.n_iters < 250
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec(kind="loglik"), LossSpec(kind="gamma_general", tuning=0.3),
+    ], ids=["loglik", "gamma_general"])
+    def test_every_draw_converges_first_time(self, data, spec):
+        fit = wlb_sample(spec, data, Prior(), PROBIT,
+                         WlbConfig(n_draws=100, seed=0))
+        assert set(fit.convergence_flags.tolist()) == {"converged"}
 
 
 class TestAgainstGridSearch:
@@ -234,14 +329,22 @@ class TestWlbSample:
         assert a.convergence_flags.tolist() == b.convergence_flags.tolist()
 
     def test_worker_count_does_not_change_draws(self):
+        self._check_worker_count(LossSpec(kind="loglik"))
+
+    def test_worker_count_does_not_change_draws_gamma_general(self):
+        # the shared start and its inverse Hessian cross the pool
+        self._check_worker_count(LossSpec(kind="gamma_general", tuning=0.5))
+
+    @staticmethod
+    def _check_worker_count(spec):
         rng = np.random.default_rng(11)
         data = toy_data(rng, n=20)
         serial = wlb_sample(
-            LossSpec(kind="loglik"), data, Prior(), PROBIT,
+            spec, data, Prior(), PROBIT,
             WlbConfig(n_draws=8, seed=13, workers=1),
         )
         parallel = wlb_sample(
-            LossSpec(kind="loglik"), data, Prior(), PROBIT,
+            spec, data, Prior(), PROBIT,
             WlbConfig(n_draws=8, seed=13, workers=2),
         )
         assert_allclose(serial.matrix(only_ok=False),
@@ -310,7 +413,7 @@ class TestWlbSample:
         rng = np.random.default_rng(18)
         data = toy_data(rng, n=40)
 
-        def always_fail(fun, grad, x0, max_iters=500, grad_tol=1e-6):
+        def always_fail(fun, grad, x0, max_iters=500, grad_tol=1e-6, H0=None):
             x0 = np.asarray(x0, dtype=float)
             return MinimizeResult(x0, np.inf, "failed", 0, np.inf)
 
