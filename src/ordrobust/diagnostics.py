@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+# Units per logsumexp call in _affinities.  logsumexp makes several
+# copies of its input; small blocks keep them from raising peak memory.
+_AFFINITY_BLOCK = 64
+
+
 class UnstableIndexError(RuntimeError):
     """Too many draws produced non-finite leave-one-out log ratios."""
 
@@ -143,22 +148,33 @@ def summarize(draws: PosteriorDraws, level: float = 0.95) -> SummaryTable:
     )
 
 
-def _unit_affinity(ell: np.ndarray, i: int) -> float:
-    """Self-normalized Hellinger affinity from unit i's log kernel ratios.
+def _affinities(ell: np.ndarray, units) -> np.ndarray:
+    """Self-normalized Hellinger affinities, one per row of ell.
 
-    Non-finite ratios are dropped; more than half of them raises.
+    ell holds the log kernel ratios of the units named in units, one
+    row per unit and one column per draw.  Non-finite ratios are
+    dropped; a unit with more than half of them raises, naming the
+    first such unit.
     """
+    n_draws = ell.shape[1]
     finite = np.isfinite(ell)
-    if np.sum(~finite) > 0.5 * ell.size:
+    n_finite = finite.sum(axis=1)
+    unstable = np.flatnonzero(2 * (n_draws - n_finite) > n_draws)
+    if unstable.size:
+        j = unstable[0]
         raise UnstableIndexError(
-            f"unit {i}: {int(np.sum(~finite))} of {ell.size} draws gave "
-            "non-finite leave-one-out log ratios"
+            f"unit {units[j]}: {n_draws - n_finite[j]} of {n_draws} draws "
+            "gave non-finite leave-one-out log ratios"
         )
-    ell = ell[finite]
-    log_aff = (
-        logsumexp(ell / 2.0) - 0.5 * logsumexp(ell) - 0.5 * np.log(ell.size)
-    )
-    return float(min(np.exp(log_aff), 1.0))
+    log_aff = np.empty(ell.shape[0])
+    for lo in range(0, ell.shape[0], _AFFINITY_BLOCK):
+        blk = ell[lo:lo + _AFFINITY_BLOCK]
+        blk = np.where(np.isfinite(blk), blk, -np.inf)
+        log_aff[lo:lo + _AFFINITY_BLOCK] = (
+            logsumexp(blk / 2.0, axis=1) - 0.5 * logsumexp(blk, axis=1)
+        )
+    log_aff -= 0.5 * np.log(n_finite)
+    return np.minimum(np.exp(log_aff), 1.0)
 
 
 def _usable_thetas(draws: PosteriorDraws):
@@ -171,9 +187,9 @@ def _usable_thetas(draws: PosteriorDraws):
 def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
                      prior: Prior, link: Link, i: int) -> float:
     """Geodesic angle between the full and leave-i-out posteriors."""
-    ell = np.array([loo_log_ratio(spec, t, data, i, prior, link)
-                    for t in _usable_thetas(draws)])
-    return float(np.arccos(_unit_affinity(ell, i)))
+    ell = np.array([[loo_log_ratio(spec, t, data, i, prior, link)
+                     for t in _usable_thetas(draws)]])
+    return float(np.arccos(_affinities(ell, [i])[0]))
 
 
 def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
@@ -185,15 +201,15 @@ def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     per (draw, unit).
     """
     rows = np.arange(data.n)
-    ell = []
-    for theta in _usable_thetas(draws):
+    thetas = _usable_thetas(draws)
+    ell = np.empty((data.n, len(thetas)))
+    for b, theta in enumerate(thetas):
         P = category_probs(theta, data.X, link)
         # A unit holding the whole synthetic loss sum leaves log(0);
-        # _unit_affinity turns that into UnstableIndexError.
+        # _affinities turns that into UnstableIndexError.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ell.append(_loo_log_ratios(spec, P, P[rows, data.y - 1]))
-    ell = np.array(ell)
-    affinity = np.array([_unit_affinity(ell[:, i], i) for i in rows])
+            ell[:, b] = _loo_log_ratios(spec, P, P[rows, data.y - 1])
+    affinity = _affinities(ell, rows)
     return RobustnessReport(
         unit_indices=rows, index=np.arccos(affinity), affinity=affinity
     )

@@ -203,9 +203,11 @@ class ObjectiveCore:
     """Reusable workspace evaluating one weighted objective on one dataset.
 
     Holds the design matrix and index plumbing so that repeated calls
-    inside an optimizer allocate only the per-call temporaries.  All
-    methods are pure given their arguments; instances hold no mutable
-    state and can be shared across threads.
+    inside an optimizer allocate only the per-call temporaries.
+    value_and_grad is the one forward and backward pass, and the one
+    that wlb.minimize calls per trial point; value is its first element.
+    All methods are pure given their arguments; instances hold no
+    mutable state and can be shared across threads.
     """
 
     def __init__(self, spec: LossSpec, data: Dataset, prior: Prior, link: Link):
@@ -258,17 +260,7 @@ class ObjectiveCore:
         return -self.n * float(w @ r)
 
     def value(self, u, weights, validate_weights: bool = True) -> float:
-        w = (
-            _check_weights(weights, self.n)
-            if validate_weights
-            else np.asarray(weights, dtype=float)
-        )
-        u, _, A = self._split(u)
-        P = _probs_from_args(A, self.link, clamp=True)
-        f = P[self._rows, self._c]
-        r = _unit_losses(self.spec, P, f)
-        lp, _ = _log_prior_parts(u, self.p, self.prior)
-        return self.spec.learning_rate * self._loss_term(r, w) - lp
+        return self.value_and_grad(u, weights, validate_weights)[0]
 
     def value_and_grad(self, u, weights, validate_weights: bool = True):
         w = (

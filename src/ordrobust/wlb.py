@@ -16,9 +16,11 @@ process, with its final BFGS inverse Hessian as the first curvature
 estimate.  The start is computed before any worker pool exists and is
 shipped to every chunk unchanged.
 
-The minimizer is a dense BFGS.  A step is accepted by the Armijo test
-or, where Armijo can no longer resolve the decrease from rounding, by
-the approximate Wolfe test of Hager & Zhang (2005).  It guarantees the
+The minimizer is a dense BFGS on one callable that returns the value
+and the gradient together (ObjectiveCore.value_and_grad), called once
+per trial point.  A step is accepted by the Armijo test or, where
+Armijo can no longer resolve the decrease from rounding, by the
+approximate Wolfe test of Hager & Zhang (2005).  It guarantees the
 contract the sampler needs: the lowest iterate seen on every exit that
 is not converged, an honest status on every exit path, and tolerance
 of objectives that return +inf or nan in far regions (the step is
@@ -127,8 +129,7 @@ class MinimizeResult:
     n_iters: int
     grad_norm: float
     inv_hessian: np.ndarray | None = None  # final BFGS matrix
-    n_fevals: int = 0
-    n_gevals: int = 0
+    n_evals: int = 0  # calls of the fused value-and-gradient callable
 
 
 def sample_dirichlet_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,51 +140,53 @@ def sample_dirichlet_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6,
+def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
              H0=None) -> MinimizeResult:
     """Dense BFGS with Armijo backtracking and approximate-Wolfe acceptance.
+
+    fg(x) returns the pair (value, gradient), and every trial point
+    costs exactly one call: the line search reads the value, and an
+    accepted step keeps the gradient that came with it.  The gradient
+    of a trial whose value is not finite is never read.
 
     A trial step x + t*p is accepted if it passes Armijo.  Near the
     optimum the decrease Armijo asks for drops below the rounding of
     f, so a finite trial that fails Armijo with f_try <= f + 1e-12*|f|
     is accepted instead if its directional derivative passes the
-    approximate Wolfe test 0.9*g.p <= g_try.p <= -0.8*g.p; the
-    gradient taken for that test becomes the new gradient.  H0 seeds
+    approximate Wolfe test 0.9*g.p <= g_try.p <= -0.8*g.p.  H0 seeds
     the inverse Hessian approximation; None starts from the identity,
     rescaled after the first step.
 
     status converged means the gradient 2-norm fell to grad_tol or
-    below, and the current iterate is returned; max_iters means the
-    budget ran out; failed means no acceptable finite step existed.
-    An accepted step may raise fun by up to 1e-12*|fun|, so descent is
-    not monotone: max_iters and failed return the lowest iterate seen.
-    inv_hessian is the final BFGS matrix (None if it is still the
-    identity); n_fevals and n_gevals count calls of fun and grad.
+    below, and the current iterate is returned, also when that happens
+    on the last allowed step; max_iters means the budget ran out;
+    failed means no acceptable finite step existed.  An accepted step
+    may raise fun by up to 1e-12*|fun|, so descent is not monotone:
+    max_iters and failed return the lowest iterate seen.  inv_hessian
+    is the final BFGS matrix (None if it is still the identity), and
+    n_evals counts calls of fg.
     """
     x = np.asarray(x0, dtype=float).copy()
     d = x.size
     H = None if H0 is None else np.asarray(H0, dtype=float)
-    fx = float(fun(x))
-    n_f, n_g = 1, 0
+    fx, g = fg(x)
+    fx = float(fx)
+    n_evals = 1
     if not np.isfinite(fx):
-        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_f, n_g)
-    g = np.asarray(grad(x), dtype=float)
-    n_g += 1
+        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_evals)
+    g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
-        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_f, n_g)
+        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_evals)
     gnorm = float(np.linalg.norm(g))
+    if gnorm <= grad_tol:
+        return MinimizeResult(x, fx, "converged", 0, gnorm, H, n_evals)
     best_x, best_f, best_gnorm = x, fx, gnorm
 
     def best(status, n_iters):
         return MinimizeResult(best_x, best_f, status, n_iters, best_gnorm,
-                              H, n_f, n_g)
+                              H, n_evals)
 
-    n_iters = 0
     for n_iters in range(1, max_iters + 1):
-        if gnorm <= grad_tol:
-            return MinimizeResult(x, fx, "converged", n_iters - 1, gnorm,
-                                  H, n_f, n_g)
-
         p = -g if H is None else -(H @ g)
         slope = float(g @ p)
         if slope >= 0.0:
@@ -194,34 +197,26 @@ def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6,
             slope = -(gnorm * gnorm)
 
         step = 1.0
-        g_new = None
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + step * p
-            f_try = float(fun(x_try))
-            n_f += 1
+            f_try, g_try = fg(x_try)
+            f_try = float(f_try)
+            n_evals += 1
             if np.isfinite(f_try):
+                g_try = np.asarray(g_try, dtype=float)
                 if f_try <= fx + _ARMIJO_C1 * step * slope:
                     break
-                if f_try <= fx + _WOLFE_FTOL * abs(fx):
-                    g_try = np.asarray(grad(x_try), dtype=float)
-                    n_g += 1
-                    if np.all(np.isfinite(g_try)) and (
-                        _WOLFE_LOW * slope <= float(g_try @ p) <= _WOLFE_HIGH * slope
-                    ):
-                        g_new = g_try
+                if f_try <= fx + _WOLFE_FTOL * abs(fx) and np.all(np.isfinite(g_try)):
+                    if _WOLFE_LOW * slope <= float(g_try @ p) <= _WOLFE_HIGH * slope:
                         break
             step *= 0.5
         else:
             return best("failed", n_iters)
-
-        if g_new is None:
-            g_new = np.asarray(grad(x_try), dtype=float)
-            n_g += 1
-            if not np.all(np.isfinite(g_new)):
-                return best("failed", n_iters)
+        if not np.all(np.isfinite(g_try)):
+            return best("failed", n_iters)
 
         s = x_try - x
-        yv = g_new - g
+        yv = g_try - g
         sy = float(s @ yv)
         if sy > _CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(yv):
             if H is None:
@@ -234,24 +229,19 @@ def minimize(fun, grad, x0, max_iters: int = 500, grad_tol: float = 1e-6,
             H = H - rho * (outer + outer.T) + rho * (
                 1.0 + rho * float(yv @ Hy)
             ) * np.outer(s, s)
-        x, fx, g = x_try, f_try, g_new
+        x, fx, g = x_try, f_try, g_try
         gnorm = float(np.linalg.norm(g))
+        if gnorm <= grad_tol:
+            return MinimizeResult(x, fx, "converged", n_iters, gnorm, H, n_evals)
         if fx <= best_f:
             best_x, best_f, best_gnorm = x, fx, gnorm
 
-    return best("max_iters", n_iters)
+    return best("max_iters", max_iters)
 
 
 def _weighted(core: ObjectiveCore, w: np.ndarray):
-    """The (fun, grad) pair that minimize needs for weights w."""
-
-    def fun(u):
-        return core.value(u, w, validate_weights=False)
-
-    def grad(u):
-        return core.value_and_grad(u, w, validate_weights=False)[1]
-
-    return fun, grad
+    """The fused value-and-gradient callable minimize needs for weights w."""
+    return lambda u: core.value_and_grad(u, w, validate_weights=False)
 
 
 def _theta_for_storage(x: np.ndarray, n_beta: int) -> Theta:
@@ -325,8 +315,8 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link, config: WlbConfig,
     except ContractError:
         return x_base
     core = ObjectiveCore(LossSpec(kind="loglik"), sub, prior, link)
-    fun, jac = _weighted(core, np.full(sub.n, 1.0 / sub.n))
-    res = minimize(fun, jac, _initial_point(sub, link),
+    res = minimize(_weighted(core, np.full(sub.n, 1.0 / sub.n)),
+                   _initial_point(sub, link),
                    config.max_iters, config.grad_tol)
     if res.status == "failed" or not np.all(np.isfinite(res.x)):
         return x_base
@@ -342,8 +332,8 @@ def _shared_start(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray):
     starts one Newton step from its own optimum.  A fit that does not
     converge falls back to x_init and the identity.
     """
-    fun, jac = _weighted(core, np.full(core.n, 1.0 / core.n))
-    res = minimize(fun, jac, x_init, config.max_iters, config.grad_tol)
+    res = minimize(_weighted(core, np.full(core.n, 1.0 / core.n)), x_init,
+                   config.max_iters, config.grad_tol)
     if res.status != "converged":
         return x_init, None
     return res.x, res.inv_hessian
@@ -366,15 +356,15 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
             w = np.full(n, 1.0 / n)
         else:
             w = sample_dirichlet_uniform(n, rng)
-        fun, jac = _weighted(core, w)
+        fg = _weighted(core, w)
 
-        best = minimize(fun, jac, x_start, config.max_iters, config.grad_tol,
+        best = minimize(fg, x_start, config.max_iters, config.grad_tol,
                         H0=H0)
         flag = "converged" if best.status == "converged" else None
         if flag is None:
             for _ in range(config.restarts):
                 x_jit = x_init + rng.normal(0.0, config.restart_jitter_sd, x_init.size)
-                res = minimize(fun, jac, x_jit, config.max_iters, config.grad_tol)
+                res = minimize(fg, x_jit, config.max_iters, config.grad_tol)
                 if np.isfinite(res.fun) and res.fun < best.fun:
                     best = res
                 if res.status == "converged":

@@ -208,6 +208,24 @@ class TestRobustnessReport:
                 want = fisher_rao_index(fit, data, spec, Prior(), PROBIT, i)
                 assert_allclose(rep.index[i], want, rtol=1e-10, atol=1e-12)
 
+    def test_affinities_match_per_unit_loop(self):
+        # more units than one logsumexp block, with some non-finite
+        # ratios; the reference drops them unit by unit in plain math
+        rng = np.random.default_rng(35)
+        ell = rng.normal(-3.0, 2.0, size=(300, 40))
+        ell[rng.uniform(size=ell.shape) < 0.1] = -np.inf
+        ell[5, :3] = np.nan
+        got = diag_module._affinities(ell, np.arange(300))
+        for i in range(300):
+            kept = [v for v in ell[i] if math.isfinite(v)]
+            num = sum(math.exp(v / 2.0) for v in kept) / len(kept)
+            den = math.sqrt(sum(math.exp(v) for v in kept) / len(kept))
+            assert got[i] == pytest.approx(min(num / den, 1.0), rel=1e-13)
+        ell[[7, 200]] = 0.0
+        ell[[7, 200], :21] = np.inf
+        with pytest.raises(UnstableIndexError, match="unit 7: 21 of 40"):
+            diag_module._affinities(ell, np.arange(300))
+
     def test_dominating_unit_raises(self):
         # one unit holds the entire synthetic loss sum; removing it
         # leaves log(0), so every draw's ratio is non-finite

@@ -302,8 +302,8 @@ class TestWeightedObjective:
             assert_allclose(ga, gb, rtol=0, atol=0)
 
     def test_core_wrapper_agreement(self):
-        # minimize mixes values from value() with gradients from
-        # value_and_grad(), so the two values must agree exactly
+        # value() is the first element of value_and_grad(), which
+        # minimize calls; the public wrappers must agree exactly
         rng = np.random.default_rng(28)
         data, u = small_instance(rng, n=5)
         w = np.full(5, 0.2)
@@ -348,11 +348,7 @@ class TestGradients:
         w = np.full(20, 0.05)
         spec = LossSpec(kind="dp", tuning=0.5)
         core = ObjectiveCore(spec, data, Prior(), PROBIT)
-        res = minimize(
-            lambda v: core.value(v, w),
-            lambda v: core.value_and_grad(v, w)[1],
-            u0, 500, 1e-7,
-        )
+        res = minimize(lambda v: core.value_and_grad(v, w), u0, 500, 1e-7)
         assert res.status == "converged"
         g = weighted_objective_gradient(spec, res.x, data, w, Prior(), PROBIT)
         assert float(np.linalg.norm(g)) <= 1e-7

@@ -44,22 +44,30 @@ def toy_data(rng, n=30, p=1, M=3):
 
 def quadratic():
     c = np.array([1.5, -2.0, 0.25])
-    return (lambda x: float(np.sum((x - c) ** 2))), (lambda x: 2.0 * (x - c))
+    return lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c))
 
 
 def rosenbrock():
-    def fun(v):
+    def fg(v):
         x, y = v
-        return float((1 - x) ** 2 + 100.0 * (y - x * x) ** 2)
-
-    def grad(v):
-        x, y = v
-        return np.array([
+        return float((1 - x) ** 2 + 100.0 * (y - x * x) ** 2), np.array([
             -2.0 * (1 - x) - 400.0 * x * (y - x * x),
             200.0 * (y - x * x),
         ])
 
-    return fun, grad
+    return fg
+
+
+def exact_newton_quadratic():
+    """A quadratic with its inverse Hessian; one Newton step from x0."""
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    c = np.array([1.0, -2.0, 0.5])
+
+    def fg(x):
+        r = x - c
+        return float(0.5 * r @ A @ r), A @ r
+
+    return fg, np.array([5.0, 5.0, -5.0]), np.linalg.inv(A), c
 
 
 def counted(fn):
@@ -130,8 +138,7 @@ class TestMinimize:
     def test_quadratic(self):
         c = np.array([1.5, -2.0, 0.25])
         res = minimize(
-            lambda x: float(np.sum((x - c) ** 2)),
-            lambda x: 2.0 * (x - c),
+            lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c)),
             np.zeros(3),
         )
         assert res.status == "converged"
@@ -139,8 +146,7 @@ class TestMinimize:
         assert res.grad_norm <= 1e-6
 
     def test_rosenbrock(self):
-        fun, grad = rosenbrock()
-        res = minimize(fun, grad, np.array([-1.2, 1.0]), 2000, 1e-9)
+        res = minimize(rosenbrock(), np.array([-1.2, 1.0]), 2000, 1e-9)
         assert res.status == "converged"
         assert_allclose(res.x, [1.0, 1.0], atol=1e-5)
 
@@ -151,35 +157,31 @@ class TestMinimize:
             return float(np.sum((x - c) ** 2))
 
         x0 = np.array([10.0, 10.0])
-        res = minimize(fun, lambda x: 2.0 * (x - c), x0, 3, 1e-14)
+        res = minimize(lambda x: (fun(x), 2.0 * (x - c)), x0, 3, 1e-14)
         assert res.fun <= fun(x0)
 
     def test_tolerates_infinite_region(self):
         # the objective is +inf past a wall; backtracking must shrink
-        # the step until the trial point is finite again
+        # the step until the trial point is finite again.  There is no
+        # gradient past the wall, so minimize must not read it there.
         c = np.array([1.4, 0.0])
 
-        def fun(x):
+        def fg(x):
             if x[0] > 1.5:
-                return np.inf
-            return float(np.sum((x - c) ** 2))
+                return np.inf, None
+            return float(np.sum((x - c) ** 2)), 2.0 * (x - c)
 
-        res = minimize(fun, lambda x: 2.0 * (x - c), np.array([0.0, 3.0]))
+        res = minimize(fg, np.array([0.0, 3.0]))
         assert res.status == "converged"
         assert_allclose(res.x, c, atol=1e-6)
 
     def test_nonfinite_start_fails_cleanly(self):
-        res = minimize(
-            lambda x: float(np.nan),
-            lambda x: np.zeros(2),
-            np.zeros(2),
-        )
+        res = minimize(lambda x: (float(np.nan), np.zeros(2)), np.zeros(2))
         assert res.status == "failed"
         assert res.n_iters == 0
 
     def test_budget_exhaustion_reported(self):
-        fun, grad = rosenbrock()
-        res = minimize(fun, grad, np.array([-1.2, 1.0]), 3, 1e-12)
+        res = minimize(rosenbrock(), np.array([-1.2, 1.0]), 3, 1e-12)
         assert res.status == "max_iters"
         assert res.n_iters == 3
 
@@ -187,43 +189,47 @@ class TestMinimize:
         (quadratic, [0.0, 0.0, 0.0]), (rosenbrock, [-1.2, 1.0]),
     ], ids=["quadratic", "rosenbrock"])
     def test_evaluation_counts(self, problem, x0):
-        fun, grad = (counted(f) for f in problem())
-        res = minimize(fun, grad, np.array(x0), 2000, 1e-9)
+        fg = counted(problem())
+        res = minimize(fg, np.array(x0), 2000, 1e-9)
         assert res.status == "converged"
-        assert res.n_fevals == fun.calls
-        assert res.n_gevals == grad.calls
-        assert res.n_gevals >= res.n_iters + 1
+        assert res.n_evals == fg.calls
+        assert res.n_evals >= res.n_iters + 1
 
     def test_exact_inverse_hessian_takes_one_newton_step(self):
-        A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
-        c = np.array([1.0, -2.0, 0.5])
-
-        def fun(x):
-            r = x - c
-            return float(0.5 * r @ A @ r)
-
-        res = minimize(fun, lambda x: A @ (x - c), np.array([5.0, 5.0, -5.0]),
-                       H0=np.linalg.inv(A))
+        fg, x0, H0, c = exact_newton_quadratic()
+        res = minimize(fg, x0, H0=H0)
         assert res.status == "converged"
         assert res.n_iters == 1
         assert_allclose(res.x, c, atol=1e-10)
         assert res.inv_hessian is not None
 
+    def test_convergence_on_the_last_allowed_step(self):
+        # the one allowed step lands on the optimum: that is converged,
+        # not an exhausted budget
+        fg, x0, H0, c = exact_newton_quadratic()
+        res = minimize(fg, x0, max_iters=1, H0=H0)
+        assert res.status == "converged"
+        assert res.n_iters == 1
+        assert res.grad_norm <= 1e-6
+        assert_allclose(res.x, c, atol=1e-10)
+
     def test_approximate_wolfe_step_and_lowest_iterate(self):
         # away from x0 the value sits 1e-13 above f(x0), below what
         # Armijo can resolve, while the gradient still points at 0
-        def fun(x):
-            return 1.0 if x[0] == 1.0 else 1.0 + 1e-13
+        def fg(x):
+            return (1.0 if x[0] == 1.0 else 1.0 + 1e-13), x.copy()
 
-        def grad(x):
-            return x.copy()
-
-        res = minimize(fun, grad, np.array([1.0]), max_iters=2)
+        res = minimize(fg, np.array([1.0]), max_iters=2)
         assert res.status == "converged"
         assert res.n_iters == 1
         assert res.x[0] == 0.0
-        # stopped after the uphill step, it returns the lower start
-        capped = minimize(fun, grad, np.array([1.0]), max_iters=1)
+        # stopped after an uphill step that does not converge, it
+        # returns the lower start
+        def fg_off(x):
+            f, g = fg(x)
+            return f, g + (0.0 if x[0] == 1.0 else 0.1)
+
+        capped = minimize(fg_off, np.array([1.0]), max_iters=1)
         assert capped.status == "max_iters"
         assert capped.x[0] == 1.0
         assert capped.fun == 1.0
@@ -251,8 +257,7 @@ class TestStallRegression:
             np.random.SeedSequence(entropy=0, spawn_key=(14,)))
         w = sample_dirichlet_uniform(data.n, rng)
         res = minimize(
-            lambda u: core.value(u, w, validate_weights=False),
-            lambda u: core.value_and_grad(u, w, validate_weights=False)[1],
+            lambda u: core.value_and_grad(u, w, validate_weights=False),
             wlb_module._initial_point(data, PROBIT),
         )
         assert res.status == "converged"
@@ -413,7 +418,7 @@ class TestWlbSample:
         rng = np.random.default_rng(18)
         data = toy_data(rng, n=40)
 
-        def always_fail(fun, grad, x0, max_iters=500, grad_tol=1e-6, H0=None):
+        def always_fail(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
             x0 = np.asarray(x0, dtype=float)
             return MinimizeResult(x0, np.inf, "failed", 0, np.inf)
 
