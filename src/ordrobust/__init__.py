@@ -40,6 +40,7 @@ from .wlb import (
     minimize,
     sample_dirichlet_uniform,
     wlb_sample,
+    wlb_sample_batch,
 )
 from .diagnostics import (
     ConstantSeriesError,
@@ -77,6 +78,7 @@ __all__ = [
     "weighted_objective", "weighted_objective_gradient",
     "MinimizeResult", "PosteriorDraws", "SamplingFailureError", "WlbConfig",
     "minimize", "sample_dirichlet_uniform", "wlb_sample",
+    "wlb_sample_batch",
     "ConstantSeriesError", "Contamination", "RobustnessReport", "SummaryTable",
     "SweepRow", "UnstableIndexError", "autocorrelation", "fisher_rao_index",
     "posterior_robustness_sweep", "robustness_report", "score_estimates",

@@ -47,7 +47,7 @@ from .diagnostics import (
 from .links import LINKS, get_link
 from .losses import DegenerateObjectiveError, LossSpec, Prior
 from .model import ContractError, Theta, generalized_residuals
-from .wlb import SamplingFailureError, WlbConfig, wlb_sample
+from .wlb import SamplingFailureError, WlbConfig, wlb_sample, wlb_sample_batch
 
 # Flag spellings of the loss kinds.
 _CLI_LOSS = {
@@ -429,14 +429,15 @@ def cmd_robustness(args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
 
     if args.mode == "index":
+        jobs = [
+            (spec, data, WlbConfig(n_draws=args.draws,
+                                   seed=_derived_seed(args.seed, (sj,)),
+                                   workers=workers))
+            for sj, (_, spec) in enumerate(specs)
+        ]
+        fits = wlb_sample_batch(jobs, prior, link)
         rows = []
-        for sj, (name, spec) in enumerate(specs):
-            config = WlbConfig(
-                n_draws=args.draws,
-                seed=_derived_seed(args.seed, (sj,)),
-                workers=workers,
-            )
-            draws = wlb_sample(spec, data, prior, link, config)
+        for (name, spec), draws in zip(specs, fits):
             report = robustness_report(draws, data, spec, prior, link)
             tuning_cell = "" if spec.kind == "loglik" else _fmt(spec.tuning)
             for i in range(data.n):

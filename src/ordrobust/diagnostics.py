@@ -31,7 +31,9 @@ from .datasim import inject_outlier
 from .links import Link
 from .losses import LossSpec, Prior, _loo_log_ratios, loo_log_ratio
 from .model import ContractError, Dataset, Theta, category_probs
-from .wlb import PosteriorDraws, WlbConfig, wlb_sample
+from .wlb import PosteriorDraws, WlbConfig, wlb_sample_batch
+# bench/tracer.py looks wlb_sample up here by name.
+from .wlb import wlb_sample  # noqa: F401
 
 __all__ = [
     "SummaryTable",
@@ -222,6 +224,12 @@ def _derived_seed(seed: int, key: tuple) -> int:
     return int(state[0])
 
 
+def _mean_and_se2(fit: PosteriorDraws):
+    """Posterior mean and its squared Monte Carlo standard error."""
+    mat = fit.matrix()
+    return mat.mean(axis=0), mat.var(axis=0, ddof=1) / mat.shape[0]
+
+
 def posterior_robustness_sweep(
     data_clean: Dataset,
     specs,
@@ -236,6 +244,8 @@ def posterior_robustness_sweep(
     the contaminated unit removed, matching the limit the robust
     posteriors are expected to approach as omega grows.  Each cell gets
     its own deterministic seed derived from (config.seed, spec, omega).
+    All (1 + len(omegas)) * len(specs) fits run as one wlb_sample_batch,
+    so with config.workers > 1 they share one process pool.
     """
     c = contamination
     if not 0 <= c.unit < data_clean.n:
@@ -246,24 +256,23 @@ def posterior_robustness_sweep(
         n_categories=data_clean.n_categories,
         column_names=data_clean.column_names,
     )
+    specs = list(specs)
+    data_w = [inject_outlier(data_clean, c.unit, c.covariate, c.direction, omega)
+              for omega in c.omegas]
+    # Per spec: the reference fit, then one cell per omega; fit k of
+    # spec si draws from seed (si, k).
+    jobs = [
+        (spec, d, replace(config, seed=_derived_seed(config.seed, (si, k))))
+        for si, spec in enumerate(specs)
+        for k, d in enumerate([data_ref, *data_w])
+    ]
+    fits = iter(wlb_sample_batch(jobs, prior, link))
     rows = []
-    for si, spec in enumerate(specs):
-        ref_cfg = replace(config, seed=_derived_seed(config.seed, (si, 0)))
-        ref = wlb_sample(spec, data_ref, prior, link, ref_cfg)
-        ref_mat = ref.matrix()
-        ref_mean = ref_mat.mean(axis=0)
-        ref_se2 = ref_mat.var(axis=0, ddof=1) / ref_mat.shape[0]
-        for wi, omega in enumerate(c.omegas):
-            cell_cfg = replace(
-                config, seed=_derived_seed(config.seed, (si, 1 + wi))
-            )
-            data_w = inject_outlier(
-                data_clean, c.unit, c.covariate, c.direction, omega
-            )
-            cell = wlb_sample(spec, data_w, prior, link, cell_cfg)
-            mat = cell.matrix()
-            mean = mat.mean(axis=0)
-            se2 = mat.var(axis=0, ddof=1) / mat.shape[0]
+    for spec in specs:
+        ref_mean, ref_se2 = _mean_and_se2(next(fits))
+        for omega in c.omegas:
+            cell = next(fits)
+            mean, se2 = _mean_and_se2(cell)
             diff = mean - ref_mean
             drift = float(np.linalg.norm(diff))
             var_terms = se2 + ref_se2

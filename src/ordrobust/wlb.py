@@ -7,11 +7,14 @@ to mix: autocorrelation across draws is pure Monte Carlo noise.
 
 Each draw b owns an RNG stream spawned from (seed, b), so results are
 bit-identical for a fixed seed no matter how the draws are scheduled
-across workers.
+across workers.  wlb_sample_batch runs a list of fits on one process
+pool: the draw chunks of every fit are queued on it at once, and the
+pool is shut down before the call returns.  wlb_sample is its one-fit
+case.
 
 Every draw perturbs one M-estimation problem by O(n^-1/2) (Lyddon,
 Holmes & Walker 2019), so all draws share one start: the equal-weights
-optimum of the same objective, fitted once per sample in the calling
+optimum of the same objective, fitted once per fit in the calling
 process, with its final BFGS inverse Hessian as the first curvature
 estimate.  The start is computed before any worker pool exists and is
 shipped to every chunk unchanged.
@@ -47,6 +50,7 @@ __all__ = [
     "sample_dirichlet_uniform",
     "minimize",
     "wlb_sample",
+    "wlb_sample_batch",
 ]
 
 _ARMIJO_C1 = 1e-4
@@ -376,24 +380,16 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
     return out
 
 
-def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
-               config: WlbConfig, _equal_weights: bool = False) -> PosteriorDraws:
-    """Draw B approximate posterior samples by weighted minimization.
-
-    Draw b is the argmin under the Dirichlet weights of stream
-    (seed, b), started at the shared equal-weights optimum (see
-    _shared_start); failures are flagged per draw, and more than 10%
-    failed draws abort the run.  _equal_weights freezes every weight
-    vector at 1/n (a testing hook: all draws then equal the penalized
-    MLE).
-    """
+def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
+             config: WlbConfig):
+    """Serial part of one fit: its objective, x_init and the shared start."""
     observed = np.unique(data.y)
     missing = sorted(set(range(1, data.n_categories + 1)) - set(observed.tolist()))
     if missing:
         warnings.warn(
             f"categories {missing} never observed; cutpoint estimates "
             "for their boundaries rest on the prior alone",
-            stacklevel=2,
+            stacklevel=4,
         )
 
     core = ObjectiveCore(spec, data, prior, link)
@@ -404,26 +400,17 @@ def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
         # classical empirical initialization.
         x_init = _pilot_init(data, prior, link, config, x_init)
     x_start, H0 = _shared_start(core, config, x_init)
+    return core, x_start, H0, x_init
+
+
+def _assemble(job, link: Link, parts) -> PosteriorDraws:
+    """PosteriorDraws of job from its chunks' (b, x, flag) lists, in order.
+
+    Raises SamplingFailureError if more than 10% of the draws failed.
+    """
+    spec, data, config = job
+    results = [t for part in parts for t in part]
     B = config.n_draws
-
-    if config.workers > 1 and B > 1:
-        n_chunks = min(config.workers, B)
-        bounds = np.linspace(0, B, n_chunks + 1).astype(int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
-        results = []
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [
-                pool.submit(_run_draws, core, config, x_start, H0, x_init,
-                            chunk, _equal_weights)
-                for chunk in chunks
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-        results.sort(key=lambda t: t[0])
-    else:
-        results = _run_draws(core, config, x_start, H0, x_init, range(B),
-                             _equal_weights)
-
     draws = tuple(_theta_for_storage(x, data.p) for _, x, _f in results)
     flags = np.array([f for _, _x, f in results])
 
@@ -443,3 +430,61 @@ def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
         convergence_flags=flags,
         param_names=tuple(data.column_names) + delta_names,
     )
+
+
+def wlb_sample_batch(jobs, prior: Prior, link: Link,
+                     _equal_weights: bool = False) -> list:
+    """Run several WLB fits, each given as (spec, data, config), on one pool.
+
+    Every fit's serial part (pilot fit and shared start) runs first, in
+    the calling process and in job order.  Then the draw chunks of all
+    fits go to one process pool of min(max workers, max n_draws)
+    processes, so no worker waits at a barrier between fits; with one
+    process no pool is built and the fits run in turn.  Each fit is
+    split into its own min(workers, B) chunks, as a lone wlb_sample
+    call splits it, and every draw is bit-identical to that call.
+
+    Returns the PosteriorDraws in job order.  The first error in job
+    order (a SamplingFailureError or an exception raised by a chunk) is
+    raised; chunks that have not started are cancelled, and the pool is
+    shut down before the call returns or raises.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return []
+    calls = []  # per job, the _run_draws arguments of each chunk
+    for spec, data, config in jobs:
+        core, x_start, H0, x_init = _prepare(spec, data, prior, link, config)
+        B = config.n_draws
+        bounds = np.linspace(0, B, min(config.workers, B) + 1).astype(int)
+        calls.append([(core, config, x_start, H0, x_init, range(lo, hi),
+                       _equal_weights) for lo, hi in zip(bounds, bounds[1:])])
+    n_procs = min(max(config.workers for _, _, config in jobs),
+                  max(config.n_draws for _, _, config in jobs))
+
+    if n_procs == 1:
+        return [_assemble(job, link, [_run_draws(*args) for args in chunks])
+                for job, chunks in zip(jobs, calls)]
+    pool = ProcessPoolExecutor(max_workers=n_procs)
+    try:
+        futures = [[pool.submit(_run_draws, *args) for args in chunks]
+                   for chunks in calls]
+        return [_assemble(job, link, [f.result() for f in futs])
+                for job, futs in zip(jobs, futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
+               config: WlbConfig, _equal_weights: bool = False) -> PosteriorDraws:
+    """Draw B approximate posterior samples by weighted minimization.
+
+    Draw b is the argmin under the Dirichlet weights of stream
+    (seed, b), started at the shared equal-weights optimum (see
+    _shared_start); failures are flagged per draw, and more than 10%
+    failed draws abort the run.  _equal_weights freezes every weight
+    vector at 1/n (a testing hook: all draws then equal the penalized
+    MLE).  This is the one-fit case of wlb_sample_batch.
+    """
+    return wlb_sample_batch([(spec, data, config)], prior, link,
+                            _equal_weights)[0]

@@ -377,6 +377,21 @@ class TestRobustness:
             assert 0.0 <= float(r[3]) <= np.pi / 2
             assert 0.0 < float(r[4]) <= 1.0
 
+    def test_index_mode_worker_count_keeps_bytes(self, tmp_path):
+        # both loss kinds are fitted as one batch on one pool
+        data, pre = make_inputs(tmp_path, n=25)
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            assert main([
+                "robustness", "--data", data, "--preprocess", pre,
+                "--mode", "index", "--losses", "loglik,dp", "--tunings",
+                "0.5", "--draws", "20", "--seed", "8", "--workers", workers,
+                "--out-dir", str(out),
+            ]) == 0
+            outs.append((out / "index.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_sweep_mode(self, tmp_path):
         data, pre = make_inputs(tmp_path, n=25)
         out = tmp_path / "out"

@@ -306,6 +306,18 @@ class TestSweep:
         )
         assert again == rows
 
+    def test_worker_count_does_not_change_rows(self, sweep_setup):
+        # every reference and cell fit shares one two-process pool
+        from dataclasses import replace
+
+        data, specs, contamination, config, rows = sweep_setup
+        pooled = posterior_robustness_sweep(
+            data, specs, contamination, Prior(), PROBIT,
+            replace(config, workers=2),
+        )
+        assert config.workers == 1
+        assert pooled == rows
+
     def test_cell_reproducible_from_derived_seeds(self, sweep_setup):
         # the first row's drift can be rebuilt from two standalone fits
         # with the documented per-cell seed derivation

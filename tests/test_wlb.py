@@ -1,5 +1,9 @@
 """Dirichlet weights, the BFGS minimizer, and the bootstrap sampler."""
 
+import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +28,7 @@ from ordrobust import (
     theta_to_unconstrained,
     weighted_objective_gradient,
     wlb_sample,
+    wlb_sample_batch,
 )
 import ordrobust.wlb as wlb_module
 from ordrobust.diagnostics import _derived_seed
@@ -447,6 +452,184 @@ class TestWlbSample:
         assert pd.matrix().shape == (2, 2)
         assert pd.matrix(only_ok=False).shape == (3, 2)
         assert_allclose(pd.matrix()[1], [0.2, 0.1], rtol=0)
+
+
+def fails_on_wide_fits(real):
+    """minimize that fails every call on a 4-parameter problem."""
+    def stub(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.size == 4:
+            return MinimizeResult(x0, np.inf, "failed", 0, np.inf)
+        return real(fg, x0, max_iters, grad_tol, H0)
+    return stub
+
+
+def raises_in_wide_draws(real):
+    """minimize that raises in the draws of a 4-parameter problem.
+
+    Only draws pass H0, so the serial preparation still runs.
+    """
+    def stub(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
+        if np.size(x0) == 4 and H0 is not None:
+            raise FloatingPointError("draw stub raised")
+        return real(fg, x0, max_iters, grad_tol, H0)
+    return stub
+
+
+BATCH_STUBS = pytest.mark.parametrize("stub, error", [
+    (fails_on_wide_fits, SamplingFailureError),
+    (raises_in_wide_draws, FloatingPointError),
+], ids=["failed_draws", "worker_exception"])
+
+
+def batch_jobs(p_per_fit):
+    """One two-worker loglik job per entry p: p coefficients and two
+    cutpoints, so p=2 marks the 4-parameter fit the stubs single out."""
+    rng = np.random.default_rng(19)
+    return [
+        (LossSpec(kind="loglik"), toy_data(rng, n=30, p=p),
+         WlbConfig(n_draws=6, seed=40 + k, workers=2))
+        for k, p in enumerate(p_per_fit)
+    ]
+
+
+class _LazyFuture(Future):
+    """Runs its call the first time its result is asked for."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self._call = (fn, args)
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            fn, args = self._call
+            try:
+                self.set_result(fn(*args))
+            except Exception as e:
+                self.set_exception(e)
+        return super().result(timeout)
+
+
+class InlineExecutor:
+    """A stand-in for ProcessPoolExecutor that starts no processes."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.futures = []
+        self.shutdowns = []
+
+    def submit(self, fn, *args):
+        fut = _LazyFuture(fn, args)
+        self.futures.append(fut)
+        return fut
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+        if cancel_futures:
+            for fut in self.futures:
+                fut.cancel()
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Every executor wlb builds, each an InlineExecutor."""
+    built = []
+
+    def build(max_workers):
+        built.append(InlineExecutor(max_workers))
+        return built[-1]
+
+    monkeypatch.setattr(wlb_module, "ProcessPoolExecutor", build)
+    return built
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Every executor wlb builds: real pools that keep their futures."""
+    built = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.futures = []
+            built.append(self)
+
+        def submit(self, fn, *args):
+            fut = super().submit(fn, *args)
+            self.futures.append(fut)
+            return fut
+
+    monkeypatch.setattr(wlb_module, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+class TestBatch:
+    def test_one_executor_sized_by_workers_and_largest_fit(self, inline_pools):
+        jobs = [
+            (LossSpec(kind="loglik"), toy_data(np.random.default_rng(20), n=25),
+             WlbConfig(n_draws=3, seed=5, workers=1)),
+            (LossSpec(kind="dp", tuning=0.5),
+             toy_data(np.random.default_rng(21), n=25),
+             WlbConfig(n_draws=5, seed=6, workers=1)),
+        ]
+        serial = wlb_sample_batch(jobs, Prior(), PROBIT)
+        assert inline_pools == []  # one worker builds no executor
+        for workers, expected in [(4, 4), (8, 5)]:
+            del inline_pools[:]
+            fits = wlb_sample_batch([(s, d, replace(c, workers=workers))
+                                     for s, d, c in jobs], Prior(), PROBIT)
+            assert [pool.max_workers for pool in inline_pools] == [expected]
+            # each fit keeps its own min(workers, B) chunks
+            assert len(inline_pools[0].futures) == 3 + min(workers, 5)
+            for a, b in zip(serial, fits):
+                assert_allclose(a.matrix(only_ok=False),
+                                b.matrix(only_ok=False), rtol=0, atol=0)
+                assert a.convergence_flags.tolist() == \
+                    b.convergence_flags.tolist()
+
+    def test_batch_equals_separate_fits(self):
+        jobs = batch_jobs([1, 2, 1])
+        fits = wlb_sample_batch(jobs, Prior(), PROBIT)
+        assert len(fits) == 3
+        for (spec, data, config), fit in zip(jobs, fits):
+            alone = wlb_sample(spec, data, Prior(), PROBIT,
+                               replace(config, workers=1))
+            assert_allclose(alone.matrix(only_ok=False),
+                            fit.matrix(only_ok=False), rtol=0, atol=0)
+            assert fit.seed == config.seed
+        assert multiprocessing.active_children() == []
+
+    @BATCH_STUBS
+    def test_error_matches_single_fit(self, monkeypatch, recorded_pools,
+                                      stub, error):
+        monkeypatch.setattr(wlb_module, "minimize", stub(wlb_module.minimize))
+        jobs = batch_jobs([1, 2])
+        spec, data, config = jobs[1]
+        with pytest.raises(error) as alone:
+            wlb_sample(spec, data, Prior(), PROBIT, config)
+        with pytest.raises(error) as batch:
+            wlb_sample_batch(jobs, Prior(), PROBIT)
+        assert str(batch.value) == str(alone.value)
+        assert len(recorded_pools) == 2
+        # no chunk is left queued or running, and no worker outlives the call
+        for pool in recorded_pools:
+            assert all(fut.done() for fut in pool.futures)
+        assert multiprocessing.active_children() == []
+
+    @BATCH_STUBS
+    def test_error_cancels_pending_chunks(self, monkeypatch, inline_pools,
+                                          stub, error):
+        monkeypatch.setattr(wlb_module, "minimize", stub(wlb_module.minimize))
+        with pytest.raises(error):
+            wlb_sample_batch(batch_jobs([1, 2, 1]), Prior(), PROBIT)
+        (pool,) = inline_pools
+        assert pool.shutdowns == [True]
+        # chunks 0-1 fit 1, 2-3 the failing fit 2, 4-5 fit 3
+        ran = [not fut.cancelled() for fut in pool.futures]
+        if error is SamplingFailureError:
+            assert ran == [True, True, True, True, False, False]
+        else:
+            assert ran == [True, True, True, False, False, False]
 
 
 class TestCoverageSanity:
