@@ -184,11 +184,10 @@ def _config_dict(args, workers: int) -> dict:
     return cfg
 
 
-def _add_common(sub, with_data: bool = True):
-    if with_data:
-        sub.add_argument("--data", required=True, help="input CSV with header row")
-        sub.add_argument("--preprocess", required=True,
-                         help="JSON preprocessing spec: {response, edges?, columns?}")
+def _add_common(sub):
+    sub.add_argument("--data", required=True, help="input CSV with header row")
+    sub.add_argument("--preprocess", required=True,
+                     help="JSON preprocessing spec: {response, edges?, columns?}")
     sub.add_argument("--link", default="probit",
                      choices=sorted(LINKS))
     sub.add_argument("--draws", type=int, default=500, help="posterior draws B")

@@ -41,6 +41,7 @@ from .model import (
     ContractError,
     Dataset,
     Theta,
+    _bounding_densities,
     _probs_from_args,
     category_probs,
     theta_to_unconstrained,
@@ -271,16 +272,11 @@ class ObjectiveCore:
         u, gaps, A = self._split(u)
         kind, t = self.spec.kind, self.spec.tuning
         K = self.M - 1
-        P = _probs_from_args(A, self.link, clamp=True)
+        P = _probs_from_args(A, self.link)
         f = P[self._rows, self._c]
         gA = self.link.pdf(A)
 
-        # Density of the latent noise at the two cutpoints bounding the
-        # observed category; zero at the unbounded ends.
-        gpad = np.zeros((self.n, self.M + 1))
-        gpad[:, 1:self.M] = gA
-        ghi = gpad[self._rows, self._c + 1]
-        glo = gpad[self._rows, self._c]
+        ghi, glo = _bounding_densities(gA, self._rows, self._c)
         # d f_i / d eta_i; d f_i / d delta_j is +ghi at j = c_i and
         # -glo at j = c_i - 1, accumulated by _scatter_f below.
         deta_f = glo - ghi

@@ -178,8 +178,8 @@ def unconstrained_to_theta(u: np.ndarray, n_beta: int) -> Theta:
     return Theta(beta=beta, delta=delta)
 
 
-def _probs_from_args(A: np.ndarray, link: Link, clamp: bool) -> np.ndarray:
-    """Category probabilities from cutpoint arguments A[i, k] = delta_k - eta_i."""
+def _probs_from_args(A: np.ndarray, link: Link) -> np.ndarray:
+    """Clamped category probabilities from arguments A[i, k] = delta_k - eta_i."""
     n, K = A.shape
     M = K + 1
     cdfA = link.cdf(A)
@@ -195,17 +195,25 @@ def _probs_from_args(A: np.ndarray, link: Link, clamp: bool) -> np.ndarray:
         P[:, 1:M - 1] = np.where(
             use_sf, sfA[:, :-1] - sfA[:, 1:], cdfA[:, 1:] - cdfA[:, :-1]
         )
-    if clamp:
-        np.clip(P, PROB_FLOOR, 1.0, out=P)
+    np.clip(P, PROB_FLOOR, 1.0, out=P)
     return P
 
 
-def category_probs(theta: Theta, x, link: Link, clamp: bool = True):
+def _bounding_densities(gA: np.ndarray, rows: np.ndarray, c: np.ndarray):
+    """(g_hi, g_lo): gA = link.pdf(A) at the upper and lower cutpoint of
+    each row's 0-based category c, zero at the unbounded ends."""
+    n, K = gA.shape
+    gpad = np.zeros((n, K + 2))
+    gpad[:, 1:K + 1] = gA
+    return gpad[rows, c + 1], gpad[rows, c]
+
+
+def category_probs(theta: Theta, x, link: Link):
     """P(y = m | x) for every category m.
 
     x may be a single covariate vector (p,) or a matrix (n, p); the
-    result is (M,) or (n, M) to match.  With clamp=True entries are
-    clipped to [PROB_FLOOR, 1] after the cdf differences.
+    result is (M,) or (n, M) to match.  Entries are clipped to
+    [PROB_FLOOR, 1] after the cdf differences.
     """
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
@@ -217,7 +225,7 @@ def category_probs(theta: Theta, x, link: Link, clamp: bool = True):
         )
     eta = X @ theta.beta
     A = theta.delta[None, :] - eta[:, None]
-    P = _probs_from_args(A, link, clamp)
+    P = _probs_from_args(A, link)
     return P[0] if single else P
 
 
@@ -239,12 +247,8 @@ def generalized_residuals(theta_hat: Theta, data: Dataset, link: Link) -> np.nda
         raise ContractError("data and theta disagree on the category count")
     eta = data.X @ theta_hat.beta
     A = theta_hat.delta[None, :] - eta[:, None]
-    P = _probs_from_args(A, link, clamp=True)
-    n, M = P.shape
-    gpad = np.zeros((n, M + 1))
-    gpad[:, 1:M] = link.pdf(A)
-    rows = np.arange(n)
+    P = _probs_from_args(A, link)
+    rows = np.arange(data.n)
     c = data.y - 1
-    g_hi = gpad[rows, c + 1]
-    g_lo = gpad[rows, c]
+    g_hi, g_lo = _bounding_densities(link.pdf(A), rows, c)
     return -(g_hi - g_lo) / P[rows, c]

@@ -17,7 +17,9 @@ Holmes & Walker 2019), so all draws share one start: the equal-weights
 optimum of the same objective, fitted once per fit in the calling
 process, with its final BFGS inverse Hessian as the first curvature
 estimate.  The start is computed before any worker pool exists and is
-shipped to every chunk unchanged.
+shipped to every chunk unchanged.  A draw is one minimization from that
+start, and its flag is that minimization's status: converged, max_iters
+or failed.
 
 The minimizer is a dense BFGS on one callable that returns the value
 and the gradient together (ObjectiveCore.value_and_grad), called once
@@ -76,8 +78,6 @@ class WlbConfig:
     seed: int
     max_iters: int = 500
     grad_tol: float = 1e-6
-    restarts: int = 3
-    restart_jitter_sd: float = 0.5
     workers: int = 1
 
     def __post_init__(self):
@@ -87,15 +87,15 @@ class WlbConfig:
             raise ContractError("grad_tol must be positive")
         if self.seed < 0:
             raise ContractError("seed must be a nonnegative integer")
-        if self.max_iters < 1 or self.restarts < 0 or self.workers < 1:
-            raise ContractError("max_iters >= 1, restarts >= 0, workers >= 1")
+        if self.max_iters < 1 or self.workers < 1:
+            raise ContractError("max_iters >= 1, workers >= 1")
 
 
 @dataclass(frozen=True)
 class PosteriorDraws:
     """The WLB draw sequence with per-draw convergence flags.
 
-    Flags are one of converged, restarted_ok, max_iters, failed.
+    Flags are one of converged, max_iters, failed.
     Failed draws keep their best iterate here but are dropped by every
     downstream summary; they are never silently hidden.
     """
@@ -344,45 +344,31 @@ def _shared_start(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray):
 
 
 def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
-               H0, x_init: np.ndarray, b_range, equal_weights: bool):
-    """Minimize the weighted objective for each draw index in b_range.
+               H0, b_range, equal_weights: bool):
+    """(x, status) of one minimization per draw index in b_range.
 
-    Each draw starts at x_start with inverse Hessian H0; restarts
-    start from the identity at a jitter of x_init.
+    Draw b minimizes the objective under the weights of stream
+    (seed, b), starting at x_start with inverse Hessian H0.
     """
     n = core.n
     out = []
     for b in b_range:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))
-        )
         if equal_weights:
             w = np.full(n, 1.0 / n)
         else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))
+            )
             w = sample_dirichlet_uniform(n, rng)
-        fg = _weighted(core, w)
-
-        best = minimize(fg, x_start, config.max_iters, config.grad_tol,
-                        H0=H0)
-        flag = "converged" if best.status == "converged" else None
-        if flag is None:
-            for _ in range(config.restarts):
-                x_jit = x_init + rng.normal(0.0, config.restart_jitter_sd, x_init.size)
-                res = minimize(fg, x_jit, config.max_iters, config.grad_tol)
-                if np.isfinite(res.fun) and res.fun < best.fun:
-                    best = res
-                if res.status == "converged":
-                    flag = "restarted_ok"
-                    break
-            if flag is None:
-                flag = best.status  # max_iters or failed
-        out.append((b, best.x, flag))
+        res = minimize(_weighted(core, w), x_start, config.max_iters,
+                       config.grad_tol, H0=H0)
+        out.append((res.x, res.status))
     return out
 
 
 def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
              config: WlbConfig):
-    """Serial part of one fit: its objective, x_init and the shared start."""
+    """Serial part of one fit: its objective and the shared start."""
     observed = np.unique(data.y)
     missing = sorted(set(range(1, data.n_categories + 1)) - set(observed.tolist()))
     if missing:
@@ -400,19 +386,19 @@ def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
         # classical empirical initialization.
         x_init = _pilot_init(data, prior, link, config, x_init)
     x_start, H0 = _shared_start(core, config, x_init)
-    return core, x_start, H0, x_init
+    return core, x_start, H0
 
 
 def _assemble(job, link: Link, parts) -> PosteriorDraws:
-    """PosteriorDraws of job from its chunks' (b, x, flag) lists, in order.
+    """PosteriorDraws of job from its chunks' (x, status) lists, in order.
 
     Raises SamplingFailureError if more than 10% of the draws failed.
     """
     spec, data, config = job
     results = [t for part in parts for t in part]
     B = config.n_draws
-    draws = tuple(_theta_for_storage(x, data.p) for _, x, _f in results)
-    flags = np.array([f for _, _x, f in results])
+    draws = tuple(_theta_for_storage(x, data.p) for x, _ in results)
+    flags = np.array([status for _, status in results])
 
     n_failed = int(np.sum(flags == "failed"))
     if n_failed > 0.10 * B:
@@ -454,11 +440,11 @@ def wlb_sample_batch(jobs, prior: Prior, link: Link,
         return []
     calls = []  # per job, the _run_draws arguments of each chunk
     for spec, data, config in jobs:
-        core, x_start, H0, x_init = _prepare(spec, data, prior, link, config)
+        core, x_start, H0 = _prepare(spec, data, prior, link, config)
         B = config.n_draws
         bounds = np.linspace(0, B, min(config.workers, B) + 1).astype(int)
-        calls.append([(core, config, x_start, H0, x_init, range(lo, hi),
-                       _equal_weights) for lo, hi in zip(bounds, bounds[1:])])
+        calls.append([(core, config, x_start, H0, range(lo, hi), _equal_weights)
+                      for lo, hi in zip(bounds, bounds[1:])])
     n_procs = min(max(config.workers for _, _, config in jobs),
                   max(config.n_draws for _, _, config in jobs))
 

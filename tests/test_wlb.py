@@ -26,6 +26,7 @@ from ordrobust import (
     simulate_contaminated,
     simulate_grid,
     theta_to_unconstrained,
+    unconstrained_to_theta,
     weighted_objective_gradient,
     wlb_sample,
     wlb_sample_batch,
@@ -94,8 +95,6 @@ class TestConfig:
             WlbConfig(n_draws=10, seed=1, grad_tol=0.0)
         with pytest.raises(ContractError):
             WlbConfig(n_draws=10, seed=1, max_iters=0)
-        with pytest.raises(ContractError):
-            WlbConfig(n_draws=10, seed=1, restarts=-1)
         with pytest.raises(ContractError):
             WlbConfig(n_draws=10, seed=1, workers=0)
 
@@ -434,6 +433,34 @@ class TestWlbSample:
                 WlbConfig(n_draws=10, seed=3),
             )
 
+    def test_one_minimization_per_draw(self, monkeypatch):
+        # Every draw call reports max_iters at a known iterate; the draw
+        # keeps that iterate and that flag, and no other call is made.
+        rng = np.random.default_rng(19)
+        data = toy_data(rng, n=40)
+        real = wlb_module.minimize
+        calls = []
+
+        def stub(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
+            x0 = np.asarray(x0, dtype=float)
+            calls.append((x0, H0))
+            if len(calls) == 1:  # the shared equal-weights start
+                return real(fg, x0, max_iters, grad_tol, H0)
+            return MinimizeResult(x0 + 0.25, 1.0, "max_iters", max_iters, 1.0)
+
+        monkeypatch.setattr(wlb_module, "minimize", stub)
+        fit = wlb_sample(
+            LossSpec(kind="loglik"), data, Prior(), PROBIT,
+            WlbConfig(n_draws=6, seed=4),
+        )
+        draw_calls = calls[1:]
+        assert len(draw_calls) == 6
+        assert fit.convergence_flags.tolist() == ["max_iters"] * 6
+        for theta, (x0, H0) in zip(fit.draws, draw_calls):
+            assert H0 is not None
+            want = unconstrained_to_theta(x0 + 0.25, data.p).as_vector()
+            assert_allclose(theta.as_vector(), want, rtol=0, atol=0)
+
     def test_failed_draws_excluded_from_matrix(self):
         draws = (
             Theta(beta=[0.1], delta=[0.0]),
@@ -445,7 +472,7 @@ class TestWlbSample:
             spec=LossSpec(kind="loglik"),
             link=PROBIT,
             seed=0,
-            convergence_flags=np.array(["converged", "restarted_ok", "failed"]),
+            convergence_flags=np.array(["converged", "max_iters", "failed"]),
             param_names=("x1", "delta1"),
         )
         assert pd.n_failed == 1
