@@ -17,6 +17,7 @@ uniforms, so the generator and the fitted link agree exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,11 +105,18 @@ class PreprocessSpec:
 
 def _parse_float(cell: str, line: int, name: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise PreprocessError(
             f"line {line}, column {name!r}: not numeric: {cell!r}"
         ) from None
+    # float() also reads 'nan' and 'inf'; neither is a usable response
+    # or covariate, and binning or standardizing them fails silently.
+    if not math.isfinite(value):
+        raise PreprocessError(
+            f"line {line}, column {name!r}: not a finite number: {cell!r}"
+        )
+    return value
 
 
 def load_csv(path, spec: PreprocessSpec) -> Dataset:

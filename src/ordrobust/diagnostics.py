@@ -29,7 +29,13 @@ from scipy.special import logsumexp
 
 from .datasim import inject_outlier
 from .links import Link
-from .losses import LossSpec, Prior, _loo_log_ratios, loo_log_ratio
+from .losses import (
+    LossSpec,
+    Prior,
+    _loo_log_ratios,
+    _observed_index,
+    loo_log_ratio,
+)
 from .model import ContractError, Dataset, Theta, category_probs
 from .wlb import PosteriorDraws, WlbConfig, wlb_sample_batch
 # bench/tracer.py looks wlb_sample up here by name.
@@ -203,14 +209,16 @@ def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     per (draw, unit).
     """
     rows = np.arange(data.n)
+    obs = _observed_index(data)
     thetas = _usable_thetas(draws)
     ell = np.empty((data.n, len(thetas)))
     for b, theta in enumerate(thetas):
-        P = category_probs(theta, data.X, link)
+        # .T is the category-major table that category_probs transposes.
+        P = category_probs(theta, data.X, link).T
         # A unit holding the whole synthetic loss sum leaves log(0);
         # _affinities turns that into UnstableIndexError.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ell[:, b] = _loo_log_ratios(spec, P, P[rows, data.y - 1])
+            ell[:, b] = _loo_log_ratios(spec, P, obs)
     affinity = _affinities(ell, rows)
     return RobustnessReport(
         unit_indices=rows, index=np.arccos(affinity), affinity=affinity

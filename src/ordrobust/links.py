@@ -3,12 +3,19 @@
 A link is the distribution G of the latent noise term: the model puts
 a latent z = x @ beta + eps with eps ~ G, and the observed category is
 determined by which cutpoint interval z falls in.  Each link exposes
-four vectorized callables:
+five vectorized callables:
 
-    cdf(t)       G(t)
-    pdf(t)       g(t) = G'(t)
-    sf(t)        1 - G(t), computed without cancellation in the tail
-    quantile(q)  G^{-1}(q) for q in (0, 1)
+    cdf(t)         G(t)
+    pdf(t)         g(t) = G'(t)
+    sf(t)          1 - G(t), computed without cancellation in the tail
+    quantile(q)    G^{-1}(q) for q in (0, 1)
+    cdf_sf_pdf(t)  the triple (cdf(t), sf(t), pdf(t)) from one pass
+
+cdf_sf_pdf is what the probability table calls; it computes the
+intermediates the three functions share once (exp(-t) for loglog,
+exp(t) for cloglog, and pdf = cdf * sf for logit) and returns the same
+values as the separate calls.  All callables are module-level
+functions, so a Link pickles into pool workers.
 
 All five families are standardized (no free location or scale); the
 model is identified by fixing the latent scale to 1 and omitting an
@@ -26,6 +33,7 @@ from scipy import special
 __all__ = ["Link", "LINKS", "get_link"]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,7 @@ class Link:
     pdf: Callable
     sf: Callable
     quantile: Callable
+    cdf_sf_pdf: Callable
 
 
 def _check_q(q):
@@ -63,6 +72,11 @@ def _probit_sf(t):
     return special.ndtr(-np.asarray(t, dtype=float))
 
 
+def _probit_cdf_sf_pdf(t):
+    t = np.asarray(t, dtype=float)
+    return special.ndtr(t), _probit_sf(t), _probit_pdf(t)
+
+
 def _logit_sf(t):
     return special.expit(-np.asarray(t, dtype=float))
 
@@ -74,24 +88,41 @@ def _logit_pdf(t):
     return special.expit(t) * special.expit(-t)
 
 
-def _loglog_cdf(t):
+def _logit_cdf_sf_pdf(t):
     t = np.asarray(t, dtype=float)
+    cdf = special.expit(t)
+    sf = special.expit(-t)
+    return cdf, sf, cdf * sf
+
+
+def _capped_exp(s):
+    """exp(s) capped at the largest double.
+
+    The Gumbel families write g = e exp(-e) with e = exp(-+t); where e
+    would overflow, exp(-e) is 0 either way, and the cap makes g an
+    exact 0 there instead of inf * 0 = nan.
+    """
     with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-t))
+        return np.minimum(np.exp(s), _MAX)
+
+
+def _loglog_cdf(t):
+    return np.exp(-_capped_exp(-np.asarray(t, dtype=float)))
 
 
 def _loglog_pdf(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-t - np.exp(-t))
-    # -t - exp(-t) is -inf at both tails; exp of it is 0 either way.
-    return np.where(np.isnan(out), 0.0, out)
+    e = _capped_exp(-np.asarray(t, dtype=float))
+    return e * np.exp(-e)
 
 
 def _loglog_sf(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        return -np.expm1(-np.exp(-t))
+    return -np.expm1(-_capped_exp(-np.asarray(t, dtype=float)))
+
+
+def _loglog_cdf_sf_pdf(t):
+    e = _capped_exp(-np.asarray(t, dtype=float))
+    cdf = np.exp(-e)
+    return cdf, -np.expm1(-e), e * cdf
 
 
 def _loglog_quantile(q):
@@ -99,22 +130,22 @@ def _loglog_quantile(q):
 
 
 def _cloglog_cdf(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        return -np.expm1(-np.exp(t))
+    return -np.expm1(-_capped_exp(np.asarray(t, dtype=float)))
 
 
 def _cloglog_pdf(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(t - np.exp(t))
-    return np.where(np.isnan(out), 0.0, out)
+    e = _capped_exp(np.asarray(t, dtype=float))
+    return e * np.exp(-e)
 
 
 def _cloglog_sf(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(-np.exp(t))
+    return np.exp(-_capped_exp(np.asarray(t, dtype=float)))
+
+
+def _cloglog_cdf_sf_pdf(t):
+    e = _capped_exp(np.asarray(t, dtype=float))
+    sf = np.exp(-e)
+    return -np.expm1(-e), sf, e * sf
 
 
 def _cloglog_quantile(q):
@@ -133,12 +164,19 @@ def _cauchit_cdf(t):
 
 def _cauchit_pdf(t):
     t = np.asarray(t, dtype=float)
-    return 1.0 / (np.pi * (1.0 + t * t))
+    # t * t overflows beyond |t| ~ 1e154, where the density is 0 anyway.
+    with np.errstate(over="ignore"):
+        return 1.0 / (np.pi * (1.0 + t * t))
 
 
 def _cauchit_sf(t):
     # Symmetry of the Cauchy density.
     return _cauchit_cdf(-np.asarray(t, dtype=float))
+
+
+def _cauchit_cdf_sf_pdf(t):
+    t = np.asarray(t, dtype=float)
+    return _cauchit_cdf(t), _cauchit_sf(t), _cauchit_pdf(t)
 
 
 def _cauchit_quantile(q):
@@ -147,15 +185,15 @@ def _cauchit_quantile(q):
 
 LINKS = {
     "probit": Link("probit", special.ndtr, _probit_pdf, _probit_sf,
-                   _probit_quantile),
+                   _probit_quantile, _probit_cdf_sf_pdf),
     "logit": Link("logit", special.expit, _logit_pdf, _logit_sf,
-                  _logit_quantile),
+                  _logit_quantile, _logit_cdf_sf_pdf),
     "loglog": Link("loglog", _loglog_cdf, _loglog_pdf, _loglog_sf,
-                   _loglog_quantile),
+                   _loglog_quantile, _loglog_cdf_sf_pdf),
     "cloglog": Link("cloglog", _cloglog_cdf, _cloglog_pdf, _cloglog_sf,
-                    _cloglog_quantile),
+                    _cloglog_quantile, _cloglog_cdf_sf_pdf),
     "cauchit": Link("cauchit", _cauchit_cdf, _cauchit_pdf, _cauchit_sf,
-                    _cauchit_quantile),
+                    _cauchit_quantile, _cauchit_cdf_sf_pdf),
 }
 
 

@@ -28,6 +28,13 @@ Gradients are computed analytically in the unconstrained coordinates
 (beta, delta_1, log gaps).  The prior is a product of independent
 normals on those same coordinates, so every objective is smooth and
 unconstrained.
+
+One objective pass evaluates the link once per table element.  The
+robust kinds raise the category-major table P to t once, W = P^t, and
+read f^t, f^(t-1) = f^t / f and sum_m P_m^{1+t} = sum_m W_m P_m from
+it; W also carries the gradient.  loglik needs only f and the two
+bounding densities of each unit's category, so it evaluates the link
+at those two cutpoints alone, with the same bits as the full table.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .model import (
     ContractError,
     Dataset,
     Theta,
-    _bounding_densities,
+    _observed_cells,
     _probs_from_args,
     category_probs,
     theta_to_unconstrained,
@@ -89,12 +96,16 @@ class LossSpec:
                 f"unknown loss kind {self.kind!r}; valid kinds: "
                 + ", ".join(LOSS_KINDS)
             )
-        if self.kind != "loglik" and not self.tuning > 0:
+        if self.kind != "loglik" and not _finite_positive(self.tuning):
             raise ContractError(
-                f"loss kind {self.kind!r} needs tuning > 0, got {self.tuning}"
+                f"loss kind {self.kind!r} needs a finite tuning > 0, "
+                f"got {self.tuning}"
             )
-        if not self.learning_rate > 0:
-            raise ContractError("learning_rate must be positive")
+        if not _finite_positive(self.learning_rate):
+            raise ContractError(
+                "learning_rate must be finite and positive, got "
+                f"{self.learning_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,8 +116,16 @@ class Prior:
     sd_cut: float = 10.0
 
     def __post_init__(self):
-        if not (self.sd_beta > 0 and self.sd_cut > 0):
-            raise ContractError("prior standard deviations must be positive")
+        if not (_finite_positive(self.sd_beta) and _finite_positive(self.sd_cut)):
+            raise ContractError(
+                "prior standard deviations must be finite and positive, got "
+                f"sd_beta={self.sd_beta}, sd_cut={self.sd_cut}"
+            )
+
+
+def _finite_positive(x) -> bool:
+    """True for a finite x > 0; False for 0, negatives, nan and +-inf."""
+    return bool(0.0 < x < np.inf)
 
 
 def unit_dp_loss(theta: Theta, x, y: int, alpha: float, link: Link) -> float:
@@ -128,43 +147,53 @@ def unit_gamma_loss(theta: Theta, x, y: int, gamma: float, link: Link) -> float:
 def _one_unit_loss(spec: LossSpec, theta: Theta, x, y: int, link: Link) -> float:
     """r of one unit with covariates x and observed category y."""
     P = category_probs(theta, x, link)
-    return float(_unit_losses(spec, P, _observed_prob(P, y)))
-
-
-def _observed_prob(P: np.ndarray, y: int) -> float:
     if not 1 <= y <= P.size:
         raise ContractError(f"category {y} outside 1..{P.size}")
-    return float(P[y - 1])
+    return float(_unit_losses(spec, P, y - 1)[0])
 
 
-def _unit_losses(spec: LossSpec, P: np.ndarray, f):
+def _observed_index(data: Dataset) -> np.ndarray:
+    """Flat index of each unit's observed category in an (M, n) table."""
+    return (data.y - 1) * data.n + np.arange(data.n)
+
+
+def _unit_losses(spec: LossSpec, P: np.ndarray, obs):
     """Per-unit r of every kind: log f, r_DP, or r_g for both gamma kinds.
 
-    P holds probability rows (..., M) and f the matching probabilities
-    of the observed categories; one row with a scalar f gives one loss.
+    P is a category-major table (M, ...) and obs the flat indices of
+    the observed categories in it, so f = P.take(obs); one column (M,)
+    with a scalar obs gives one loss.  The table is raised to t once:
+    W = P^t gives f^t = W.take(obs) and S = sum_m P_m^{1+t} =
+    sum_m W_m P_m.  Returns (r, f, W, S); W and S are None for loglik.
     The loss term of every kind but gamma_synthetic is -n sum_i s_i r_i.
     """
-    kind, t = spec.kind, spec.tuning
-    if kind == "loglik":
-        return np.log(f)
-    S = (P ** (1.0 + t)).sum(axis=-1)
-    if kind == "dp":
-        return f ** t / t - S / (1.0 + t)
-    return f ** t * S ** (-t / (1.0 + t)) / t
+    f = P.take(obs)
+    if spec.kind == "loglik":
+        return np.log(f), f, None, None
+    t = spec.tuning
+    W = P ** t
+    S = (W * P).sum(axis=0)
+    ft = W.take(obs)
+    if spec.kind == "dp":
+        r = ft / t - S / (1.0 + t)
+    else:
+        r = ft * S ** (-t / (1.0 + t)) / t
+    return r, f, W, S
 
 
-def _loo_log_ratios(spec: LossSpec, P: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Leave-one-out log kernel ratio of every unit of the table P (n, M).
+def _loo_log_ratios(spec: LossSpec, P: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Leave-one-out log kernel ratio of every unit of the table P (M, n).
 
-    -r_i for the additive kinds.  For gamma_synthetic it is the
-    difference of the two non-additive kernels, (n/g)(log(T - r_i) -
-    log T) with T = sum_i r_i, which is non-finite where removing the
-    unit leaves no positive loss sum.
+    obs are the flat indices of the observed categories in P.  -r_i for
+    the additive kinds.  For gamma_synthetic it is the difference of
+    the two non-additive kernels, (n/g)(log(T - r_i) - log T) with
+    T = sum_i r_i, which is non-finite where removing the unit leaves
+    no positive loss sum.
     """
-    r = _unit_losses(spec, P, f)
+    r = _unit_losses(spec, P, obs)[0]
     if spec.kind != "gamma_synthetic":
         return -r
-    n, t = P.shape[0], spec.tuning
+    n, t = r.size, spec.tuning
     total = r.sum()
     return (n / t) * (np.log(total - r) - np.log(total))
 
@@ -220,8 +249,15 @@ class ObjectiveCore:
         self.p = data.p
         self.M = data.n_categories
         self.n_params = self.p + self.M - 1
-        self._rows = np.arange(self.n)
+        K = self.M - 1
         self._c = data.y - 1
+        self._obs = _observed_index(data)
+        # Flat indices of each unit's upper and lower cutpoint density in
+        # the (K, n) density table with one 0 appended, which stands in
+        # for the unbounded end of the first and last category.
+        at = self._c * self.n + np.arange(self.n)
+        self._hi = np.where(self._c < K, at, self.n * K)
+        self._lo = np.where(self._c > 0, at - self.n, self.n * K)
 
     def _split(self, u: np.ndarray):
         """Decode u without the strict-ordering check.
@@ -244,9 +280,7 @@ class ObjectiveCore:
         with np.errstate(over="ignore"):
             gaps = np.exp(u[self.p + 1:])
         delta = u[self.p] + np.concatenate([[0.0], np.cumsum(gaps)])
-        eta = self.data.X @ beta
-        A = delta[None, :] - eta[:, None]
-        return u, gaps, A
+        return u, gaps, delta, self.data.X @ beta
 
     def _loss_term(self, r: np.ndarray, w: np.ndarray) -> float:
         if self.spec.kind == "gamma_synthetic":
@@ -269,19 +303,22 @@ class ObjectiveCore:
             if validate_weights
             else np.asarray(weights, dtype=float)
         )
-        u, gaps, A = self._split(u)
+        u, gaps, delta, eta = self._split(u)
         kind, t = self.spec.kind, self.spec.tuning
         K = self.M - 1
-        P = _probs_from_args(A, self.link)
-        f = P[self._rows, self._c]
-        gA = self.link.pdf(A)
-
-        ghi, glo = _bounding_densities(gA, self._rows, self._c)
+        if kind == "loglik":
+            # log f needs only the two cutpoints of each unit's category.
+            f, ghi, glo = _observed_cells(delta, eta, self._c, self.link)
+            r = np.log(f)
+        else:
+            P, gA = _probs_from_args(delta[:, None] - eta, self.link)
+            r, f, W, S = _unit_losses(self.spec, P, self._obs)
+            gpad = np.append(gA, 0.0)
+            ghi, glo = gpad.take(self._hi), gpad.take(self._lo)
         # d f_i / d eta_i; d f_i / d delta_j is +ghi at j = c_i and
         # -glo at j = c_i - 1, accumulated by _scatter_f below.
         deta_f = glo - ghi
 
-        r = _unit_losses(self.spec, P, f)
         lp, lp_grad = _log_prior_parts(u, self.p, self.prior)
         value = self.spec.learning_rate * self._loss_term(r, w) - lp
 
@@ -290,32 +327,26 @@ class ObjectiveCore:
             gbeta = self.data.X.T @ (coef * deta_f)
             gdelta = self._scatter_f(coef, ghi, glo)
         else:
-            # V[i, k] = g(A_ik) (W_ik - W_{i,k+1}) with W = P^t gives both
-            # sum_m W_m dP_m/d delta_k = V[:, k] and
-            # sum_m W_m dP_m/d eta = -V.sum(axis=1).
-            W = P ** t
-            V = gA * (W[:, :K] - W[:, 1:])
-            Vsum = V.sum(axis=1)
+            # V[k, i] = g(A_ki) (W_ki - W_{k+1,i}) with W = P^t gives both
+            # sum_m W_m dP_m/d delta_k = V[k] and
+            # sum_m W_m dP_m/d eta = -V.sum(axis=0).
+            V = gA * (W[:K] - W[1:])
+            Vsum = V.sum(axis=0)
             if kind == "dp":
-                ft1 = f ** (t - 1.0)
+                ft1 = W.take(self._obs) / f
                 # d r_i = f^{t-1} df - sum_m P^t dP_m
                 ceta = w * (ft1 * deta_f + Vsum)
                 gbeta = -self.n * (self.data.X.T @ ceta)
                 gdelta = -self.n * (
-                    self._scatter_f(w * ft1, ghi, glo) - V.T @ w
+                    self._scatter_f(w * ft1, ghi, glo) - V @ w
                 )
             else:
-                S = (P ** (1.0 + t)).sum(axis=1)
-                Bfac = S ** (-t / (1.0 + t))
-                ft1 = f ** (t - 1.0)
-                ratio = f ** t / S
-                # d r_i = B [f^{t-1} df - (f^t/S) sum_m P^t dP_m]
-                ceta = w * Bfac * (ft1 * deta_f + ratio * Vsum)
+                # r_i = f^t S^{-t/(1+t)} / t, so
+                # d r_i = t r_i [df / f - (1/S) sum_m P^t dP_m].
+                wtr = w * (t * r)
+                ceta = wtr * (deta_f / f + Vsum / S)
                 gbeta = -(self.data.X.T @ ceta)
-                gdelta = -(
-                    self._scatter_f(w * Bfac * ft1, ghi, glo)
-                    - V.T @ (w * Bfac * ratio)
-                )
+                gdelta = -(self._scatter_f(wtr / f, ghi, glo) - V @ (wtr / S))
                 # The weighted sum T = sum_i w_i r_i enters the synthetic
                 # kind through -(n/t) log(t T), so its gradient is the
                 # additive one rescaled by n/(t T); the general kind is
@@ -379,9 +410,10 @@ def loo_log_ratio(
     if spec.kind != "gamma_synthetic":
         # The additive ratio -r_i needs only unit i's own row.
         return -_one_unit_loss(spec, theta, data.X[i], int(data.y[i]), link)
-    P = category_probs(theta, data.X, link)
+    # .T is the category-major table that category_probs transposes.
+    P = category_probs(theta, data.X, link).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        ell = _loo_log_ratios(spec, P, P[np.arange(n), data.y - 1])[i]
+        ell = _loo_log_ratios(spec, P, _observed_index(data))[i]
     if not np.isfinite(ell):
         raise DegenerateObjectiveError(
             "gamma loss sum is not positive after removing the unit"

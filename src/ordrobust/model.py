@@ -14,6 +14,10 @@ Category probabilities are differences of the noise cdf,
 
 evaluated through the survival function whenever both arguments sit
 in the right tail, so the difference never cancels catastrophically.
+One call of the link's fused cdf_sf_pdf gives the table and the
+densities its gradient needs.  Where only the observed category
+matters (the log-likelihood, the generalized residuals), the same
+table code runs on that category's two cutpoints alone.
 
 Optimizers never see the ordering constraint: they work in
 unconstrained coordinates u = (beta, delta_1, log gaps), where
@@ -178,41 +182,58 @@ def unconstrained_to_theta(u: np.ndarray, n_beta: int) -> Theta:
     return Theta(beta=beta, delta=delta)
 
 
-def _probs_from_args(A: np.ndarray, link: Link) -> np.ndarray:
-    """Clamped category probabilities from arguments A[i, k] = delta_k - eta_i."""
-    n, K = A.shape
-    M = K + 1
-    cdfA = link.cdf(A)
-    sfA = link.sf(A)
-    P = np.empty((n, M))
-    P[:, 0] = cdfA[:, 0]
-    P[:, M - 1] = sfA[:, K - 1]
-    if M > 2:
+def _probs_from_args(A: np.ndarray, link: Link):
+    """(P, g) from arguments A[k, i] = delta_k - eta_i, with one link call.
+
+    The tables are category-major: P[m, i] is the clamped probability
+    of category m for unit i, and g = pdf(A).  With units along the
+    contiguous axis, every slice and category sum below runs over whole
+    rows of n values.
+    """
+    K = A.shape[0]
+    cdfA, sfA, gA = link.cdf_sf_pdf(A)
+    P = np.empty((K + 1,) + A.shape[1:])
+    P[0] = cdfA[0]
+    P[K] = sfA[K - 1]
+    if K > 1:
         # Both forms telescope to the same value; the survival form is
         # used when the interval midpoint is positive, where cdf values
         # are near 1 and their difference would cancel.
-        use_sf = (A[:, :-1] + A[:, 1:]) > 0
-        P[:, 1:M - 1] = np.where(
-            use_sf, sfA[:, :-1] - sfA[:, 1:], cdfA[:, 1:] - cdfA[:, :-1]
+        P[1:K] = np.where(
+            (A[:-1] + A[1:]) > 0, sfA[:-1] - sfA[1:], cdfA[1:] - cdfA[:-1]
         )
-    np.clip(P, PROB_FLOOR, 1.0, out=P)
-    return P
+    # Every entry is at most 1 already, so only the floor can bind.
+    np.maximum(P, PROB_FLOOR, out=P)
+    return P, gA
 
 
-def _bounding_densities(gA: np.ndarray, rows: np.ndarray, c: np.ndarray):
-    """(g_hi, g_lo): gA = link.pdf(A) at the upper and lower cutpoint of
-    each row's 0-based category c, zero at the unbounded ends."""
-    n, K = gA.shape
-    gpad = np.zeros((n, K + 2))
-    gpad[:, 1:K + 1] = gA
-    return gpad[rows, c + 1], gpad[rows, c]
+def _observed_cells(delta: np.ndarray, eta: np.ndarray, c: np.ndarray,
+                    link: Link):
+    """(f, g_hi, g_lo) of each unit's observed 0-based category c.
+
+    f is the clamped probability of the category, g_hi and g_lo the
+    link density at its upper and lower cutpoint (0 at the unbounded
+    ends).  Only those two cutpoints are evaluated: the arguments
+    [delta_pad[c] - eta, delta_pad[c+1] - eta], with delta_pad =
+    [-inf, delta, +inf], go through _probs_from_args as a two-cutpoint
+    table whose middle row is f.  Its expressions and sf/cdf choice
+    are those of the full table, so f, g_hi and g_lo carry the same
+    bits as the full table's entries.
+    """
+    pad = np.concatenate([[-np.inf], delta, [np.inf]])
+    B = np.empty((2, eta.size))
+    np.subtract(pad.take(c), eta, out=B[0])
+    np.subtract(pad[1:].take(c), eta, out=B[1])
+    P, g = _probs_from_args(B, link)
+    return P[1], g[1], g[0]
 
 
 def category_probs(theta: Theta, x, link: Link):
     """P(y = m | x) for every category m.
 
     x may be a single covariate vector (p,) or a matrix (n, p); the
-    result is (M,) or (n, M) to match.  Entries are clipped to
+    result is (M,) or (n, M) to match, the (n, M) one a transposed
+    view of the category-major table.  Entries are clipped to
     [PROB_FLOOR, 1] after the cdf differences.
     """
     X = np.asarray(x, dtype=float)
@@ -224,9 +245,8 @@ def category_probs(theta: Theta, x, link: Link):
             f"x has {X.shape[-1]} covariates but beta has {theta.beta.size}"
         )
     eta = X @ theta.beta
-    A = theta.delta[None, :] - eta[:, None]
-    P = _probs_from_args(A, link)
-    return P[0] if single else P
+    P, _ = _probs_from_args(theta.delta[:, None] - eta, link)
+    return P[:, 0] if single else P.T
 
 
 def generalized_residuals(theta_hat: Theta, data: Dataset, link: Link) -> np.ndarray:
@@ -245,10 +265,7 @@ def generalized_residuals(theta_hat: Theta, data: Dataset, link: Link) -> np.nda
         )
     if data.n_categories != theta_hat.n_categories:
         raise ContractError("data and theta disagree on the category count")
-    eta = data.X @ theta_hat.beta
-    A = theta_hat.delta[None, :] - eta[:, None]
-    P = _probs_from_args(A, link)
-    rows = np.arange(data.n)
-    c = data.y - 1
-    g_hi, g_lo = _bounding_densities(link.pdf(A), rows, c)
-    return -(g_hi - g_lo) / P[rows, c]
+    f, g_hi, g_lo = _observed_cells(
+        theta_hat.delta, data.X @ theta_hat.beta, data.y - 1, link
+    )
+    return -(g_hi - g_lo) / f

@@ -34,6 +34,7 @@ shrunk until the value is finite).
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -176,12 +177,12 @@ def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
     fx, g = fg(x)
     fx = float(fx)
     n_evals = 1
-    if not np.isfinite(fx):
+    if not math.isfinite(fx):
         return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_evals)
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_evals)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g @ g))
     if gnorm <= grad_tol:
         return MinimizeResult(x, fx, "converged", 0, gnorm, H, n_evals)
     best_x, best_f, best_gnorm = x, fx, gnorm
@@ -206,35 +207,36 @@ def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
             f_try, g_try = fg(x_try)
             f_try = float(f_try)
             n_evals += 1
-            if np.isfinite(f_try):
+            if math.isfinite(f_try):
                 g_try = np.asarray(g_try, dtype=float)
                 if f_try <= fx + _ARMIJO_C1 * step * slope:
                     break
-                if f_try <= fx + _WOLFE_FTOL * abs(fx) and np.all(np.isfinite(g_try)):
+                if f_try <= fx + _WOLFE_FTOL * abs(fx) and np.isfinite(g_try).all():
                     if _WOLFE_LOW * slope <= float(g_try @ p) <= _WOLFE_HIGH * slope:
                         break
             step *= 0.5
         else:
             return best("failed", n_iters)
-        if not np.all(np.isfinite(g_try)):
+        if not np.isfinite(g_try).all():
             return best("failed", n_iters)
 
         s = x_try - x
         yv = g_try - g
         sy = float(s @ yv)
-        if sy > _CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(yv):
+        if sy > (_CURVATURE_FLOOR * math.sqrt(float(s @ s))
+                  * math.sqrt(float(yv @ yv))):
             if H is None:
                 # Initial scaling puts the identity on the scale of the
                 # true inverse Hessian before the first update.
                 H = np.eye(d) * (sy / float(yv @ yv))
             rho = 1.0 / sy
             Hy = H @ yv
-            outer = np.outer(s, Hy)
+            outer = s[:, None] * Hy
             H = H - rho * (outer + outer.T) + rho * (
                 1.0 + rho * float(yv @ Hy)
-            ) * np.outer(s, s)
+            ) * (s[:, None] * s)
         x, fx, g = x_try, f_try, g_try
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(float(g @ g))
         if gnorm <= grad_tol:
             return MinimizeResult(x, fx, "converged", n_iters, gnorm, H, n_evals)
         if fx <= best_f:

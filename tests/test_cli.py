@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ class TestFit:
         assert code == 2
         assert "requires --tuning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--loss", "gamma-syn", "--tuning", "inf"], "got inf"),
+        (["--loss", "dp", "--tuning", "nan"], "got nan"),
+        (["--loss", "loglik", "--prior-sd", "inf"], "sd_beta=inf"),
+    ])
+    def test_nonfinite_tuning_or_prior_sd_is_usage_error(
+        self, tmp_path, capsys, argv, named
+    ):
+        data, pre = make_inputs(tmp_path)
+        code = main([
+            "fit", "--data", data, "--preprocess", pre, *argv,
+            "--draws", "5", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_unknown_loss_is_usage_error(self, tmp_path):
         data, pre = make_inputs(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -151,6 +168,47 @@ class TestFit:
             main(["--version"])
         assert exc.value.code == 0
         assert ordrobust.__version__ in capsys.readouterr().out
+
+
+class TestNonFiniteCells:
+    """'nan' and 'inf' parse as floats but are no usable data."""
+
+    def write(self, tmp_path, y_cells, x_cells, pre):
+        lines = ["y,x"] + [f"{a},{b}" for a, b in zip(y_cells, x_cells)]
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pre_path = tmp_path / "pre.json"
+        pre_path.write_text(json.dumps(pre), encoding="utf-8")
+        return str(data_path), str(pre_path)
+
+    def fit(self, tmp_path, data, pre):
+        return main(["fit", "--data", data, "--preprocess", pre,
+                     "--loss", "loglik", "--draws", "5",
+                     "--out-dir", str(tmp_path / "o")])
+
+    def test_nan_response_with_edges(self, tmp_path, capsys):
+        data, pre = self.write(
+            tmp_path, ["1", "nan", "3", "2", "3", "1"],
+            ["0.1", "0.5", "-0.3", "0.9", "1.4", "-1.1"],
+            {"response": "y", "edges": [1, 2]},
+        )
+        assert self.fit(tmp_path, data, pre) == 2
+        err = capsys.readouterr().err
+        assert "line 3, column 'y': not a finite number: 'nan'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_nonfinite_standardized_covariate(self, tmp_path, capsys, cell):
+        data, pre = self.write(
+            tmp_path, ["1", "2", "3", "2", "3", "1"],
+            ["0.1", "0.5", cell, "0.9", "1.4", "-1.1"],
+            {"response": "y", "columns": {"x": "standardize"}},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.fit(tmp_path, data, pre) == 2
+        err = capsys.readouterr().err
+        assert f"line 4, column 'x': not a finite number: '{cell}'" in err
 
 
 class TestWorkersEnv:

@@ -1,5 +1,7 @@
 """Link family contracts: cdf/pdf/sf/quantile consistency and accuracy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -136,3 +138,31 @@ def test_links_pickle(name):
     clone = pickle.loads(pickle.dumps(link))
     t = np.linspace(-2, 2, 9)
     assert_allclose(clone.cdf(t), link.cdf(t), rtol=0, atol=0)
+    for got, want in zip(clone.cdf_sf_pdf(t), link.cdf_sf_pdf(t)):
+        assert_allclose(got, want, rtol=0, atol=0)
+
+
+# Zero, the unit points, tails where exp(-+t) under- or overflows, the
+# infinities, and a dense stretch in between.
+TRIPLE_GRID = np.concatenate([
+    [0.0, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf],
+    np.linspace(-12.0, 12.0, 961),
+])
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_fused_triple_matches_separate_calls(name):
+    link = get_link(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf, sf, pdf = link.cdf_sf_pdf(TRIPLE_GRID)
+        separate = (link.cdf(TRIPLE_GRID), link.sf(TRIPLE_GRID),
+                    link.pdf(TRIPLE_GRID))
+    # The triple evaluates the same expressions, so the bits agree.
+    for got, want in zip((cdf, sf, pdf), separate):
+        assert got.shape == TRIPLE_GRID.shape
+        np.testing.assert_array_equal(got, want)
+    assert np.all(pdf[7:9] == 0.0)
+    assert cdf[8] == 0.0 and cdf[7] == 1.0
+    assert sf[7] == 0.0 and sf[8] == 1.0
+

@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ordrobust import (
+    LINKS,
+    PROB_FLOOR,
     ContractError,
     Dataset,
     DegenerateObjectiveError,
@@ -70,6 +72,18 @@ class TestSpecValidation:
             Prior(sd_beta=0.0)
         with pytest.raises(ContractError):
             Prior(sd_cut=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_values_rejected(self, bad):
+        for kind in ROBUST_KINDS:
+            with pytest.raises(ContractError, match="finite tuning"):
+                LossSpec(kind=kind, tuning=bad)
+        with pytest.raises(ContractError, match="learning_rate"):
+            LossSpec(kind="loglik", learning_rate=bad)
+        with pytest.raises(ContractError, match="finite and positive"):
+            Prior(sd_beta=bad)
+        with pytest.raises(ContractError, match="finite and positive"):
+            Prior(sd_cut=bad)
 
 
 class TestUnitLosses:
@@ -251,6 +265,56 @@ class TestWeightedObjective:
                 kind, spec.tuning, 1.0, u, data.X, data.y, w, 10.0, 10.0, PROBIT
             )
             assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    # Smallest shift of the linear predictor that puts a tail category at
+    # the probability floor: 40 sd for probit, further out for the
+    # heavier exponential tails, and a Cauchy tail only near 1e300.
+    FLOOR_SHIFT = {"probit": 40.0, "logit": 800.0, "loglog": 800.0,
+                   "cloglog": 800.0, "cauchit": 1e300}
+
+    def floored_instance(self, rng, name):
+        """small_instance plus two units observed in a category whose
+        probability sits at the floor: category 1 far above the
+        cutpoints and category M far below them."""
+        data, u = small_instance(rng)
+        u[0] = 1.0
+        shift = self.FLOOR_SHIFT[name]
+        extra = np.zeros((2, data.p))
+        extra[:, 0] = [shift, -shift]
+        M = data.n_categories
+        floored = Dataset(y=np.concatenate([data.y, [1, M]]),
+                          X=np.vstack([data.X, extra]), n_categories=M)
+        return floored, u
+
+    @pytest.mark.parametrize("name", sorted(LINKS))
+    def test_oracle_agreement_all_links(self, name):
+        link = get_link(name)
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            kind = (("loglik",) + ROBUST_KINDS)[trial % 4]
+            data, u = self.floored_instance(rng, name)
+            theta = unconstrained_to_theta(u, data.p)
+            P = category_probs(theta, data.X, link)
+            f = P[np.arange(data.n), data.y - 1]
+            assert np.count_nonzero(f == PROB_FLOOR) >= 1
+            w = rng.standard_exponential(data.n)
+            w = w / w.sum()
+            t = float(rng.uniform(0.2, 1.2))
+            spec = LossSpec(kind=kind, tuning=0.0 if kind == "loglik" else t)
+            got = weighted_objective(spec, u, data, w, Prior(), link)
+            want = oracles.direct_weighted_objective(
+                kind, spec.tuning, 1.0, u, data.X, data.y, w, 10.0, 10.0, link
+            )
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            grad = weighted_objective_gradient(spec, u, data, w, Prior(), link)
+            fd = oracles.fd_gradient(
+                lambda v: oracles.direct_weighted_objective(
+                    kind, spec.tuning, 1.0, v, data.X, data.y, w, 10.0, 10.0,
+                    link),
+                u,
+            )
+            denom = max(float(np.linalg.norm(fd)), 1e-12)
+            assert float(np.linalg.norm(grad - fd)) / denom < 1e-5
 
     def test_gamma_synthetic_degenerate(self):
         # every unit's observed probability at the floor and a tuning

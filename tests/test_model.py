@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ordrobust import (
+    LINKS,
     ContractError,
     Dataset,
     PROB_FLOOR,
@@ -15,6 +16,7 @@ from ordrobust import (
     theta_to_unconstrained,
     unconstrained_to_theta,
 )
+from ordrobust.model import _observed_cells, _probs_from_args
 
 import oracles
 
@@ -202,6 +204,56 @@ class TestCategoryProbs:
         th = Theta(beta=[1.0, 2.0], delta=[0.0])
         with pytest.raises(ContractError, match="covariates"):
             category_probs(th, np.array([1.0]), PROBIT)
+
+
+class TestObservedCells:
+    """The two-cutpoint evaluation against the full probability table."""
+
+    @staticmethod
+    def units(rng, M):
+        # every category, including the unbounded first and last, at
+        # moderate and extreme linear predictors
+        eta = np.concatenate([rng.normal(0, 2, 60),
+                              [0.0, 40.0, -40.0, 800.0, -800.0]])
+        c = np.concatenate([np.arange(60) % M, [0, 0, M - 1, 0, M - 1]])
+        return eta, c
+
+    @pytest.mark.parametrize("name", sorted(LINKS))
+    def test_equal_to_full_table(self, name):
+        link = get_link(name)
+        rng = np.random.default_rng(41)
+        delta = np.array([-1.7, -0.3, 0.4, 2.2])
+        eta, c = self.units(rng, delta.size + 1)
+        theta = Theta(beta=[1.0], delta=delta)
+        P = category_probs(theta, eta[:, None], link)
+        rows = np.arange(eta.size)
+        f, g_hi, g_lo = _observed_cells(delta, eta, c, link)
+        assert_allclose(f, P[rows, c], rtol=0, atol=0)
+        pad = np.concatenate([[-np.inf], delta, [np.inf]])
+        want_hi = np.where(c < delta.size, link.pdf(pad[c + 1] - eta), 0.0)
+        want_lo = np.where(c > 0, link.pdf(pad[c] - eta), 0.0)
+        assert_allclose(g_hi, want_hi, rtol=0, atol=0)
+        assert_allclose(g_lo, want_lo, rtol=0, atol=0)
+        assert np.all(g_hi[c == delta.size] == 0.0)
+        assert np.all(g_lo[c == 0] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(LINKS))
+    def test_tied_and_infinite_cutpoints(self, name):
+        # the optimizer's decoding may tie cutpoints (an underflowed gap)
+        # or push the last ones to +inf (an overflowed gap)
+        link = get_link(name)
+        rng = np.random.default_rng(42)
+        delta = np.array([-0.5, -0.5, 1.0, np.inf, np.inf])
+        K = delta.size
+        eta, c = self.units(rng, K + 1)
+        P, g = _probs_from_args(delta[:, None] - eta, link)
+        gpad = np.vstack([np.zeros(eta.size), g, np.zeros(eta.size)])
+        rows = np.arange(eta.size)
+        f, g_hi, g_lo = _observed_cells(delta, eta, c, link)
+        assert_allclose(f, P[c, rows], rtol=0, atol=0)
+        assert_allclose(g_hi, gpad[c + 1, rows], rtol=0, atol=0)
+        assert_allclose(g_lo, gpad[c, rows], rtol=0, atol=0)
+        assert np.all(f >= PROB_FLOOR)
 
 
 class TestGeneralizedResiduals:
