@@ -38,6 +38,7 @@ from .wlb import (
     SamplingFailureError,
     WlbConfig,
     minimize,
+    minimize_block,
     sample_dirichlet_uniform,
     wlb_sample,
     wlb_sample_batch,
@@ -77,7 +78,7 @@ __all__ = [
     "Prior", "log_prior", "loo_log_ratio", "unit_dp_loss", "unit_gamma_loss",
     "weighted_objective", "weighted_objective_gradient",
     "MinimizeResult", "PosteriorDraws", "SamplingFailureError", "WlbConfig",
-    "minimize", "sample_dirichlet_uniform", "wlb_sample",
+    "minimize", "minimize_block", "sample_dirichlet_uniform", "wlb_sample",
     "wlb_sample_batch",
     "ConstantSeriesError", "Contamination", "RobustnessReport", "SummaryTable",
     "SweepRow", "UnstableIndexError", "autocorrelation", "fisher_rao_index",

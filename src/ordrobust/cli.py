@@ -138,7 +138,11 @@ def _floats(what: str, cells) -> list:
 
 
 def _loss_specs(args) -> list:
-    """(cli_name, LossSpec) pairs from --losses and --tunings."""
+    """(cli_name, LossSpec) pairs from --losses and --tunings.
+
+    A (loss, tuning) pair that the lists name twice is a ContractError:
+    it would be fitted twice and counted twice.
+    """
     losses = [s.strip() for s in args.losses.split(",") if s.strip()]
     tunings = _floats("--tunings", args.tunings.split(","))
     out = []
@@ -149,10 +153,16 @@ def _loss_specs(args) -> list:
             )
         kind = _CLI_LOSS[name]
         if kind == "loglik":
-            out.append((name, LossSpec(kind="loglik")))
+            specs = [LossSpec(kind="loglik")]
         else:
-            for t in tunings:
-                out.append((name, LossSpec(kind=kind, tuning=t)))
+            specs = [LossSpec(kind=kind, tuning=t) for t in tunings]
+        for spec in specs:
+            if any(seen == spec for _, seen in out):
+                what = name if kind == "loglik" else f"{name} at tuning {spec.tuning:g}"
+                raise ContractError(
+                    f"--losses/--tunings name {what} more than once"
+                )
+            out.append((name, spec))
     if not out:
         raise ContractError("no loss specs requested")
     return out
@@ -369,13 +379,19 @@ def cmd_simulate(args) -> None:
             data, truth = simulate_contaminated(
                 rho, args.error, args.n, _derived_seed(args.seed, (ri, rep, 0))
             )
-            for sj, (name, spec) in enumerate(specs):
-                config = WlbConfig(
+            # One batch, and so one process pool, per replicate: its fits
+            # share the data, and a batch for the whole study would hold
+            # every fit's draws at once.
+            jobs = [
+                (spec, data, WlbConfig(
                     n_draws=args.draws,
                     seed=_derived_seed(args.seed, (ri, rep, 1 + sj)),
                     workers=workers,
-                )
-                draws = wlb_sample(spec, data, prior, link, config)
+                ))
+                for sj, (_, spec) in enumerate(specs)
+            ]
+            fits = wlb_sample_batch(jobs, prior, link)
+            for (name, spec), draws in zip(specs, fits):
                 table = summarize(draws, args.level)
                 est = Theta(beta=table.mean[:data.p], delta=table.mean[data.p:])
                 ci = np.column_stack([table.lower, table.upper])

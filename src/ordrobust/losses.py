@@ -149,7 +149,7 @@ def _one_unit_loss(spec: LossSpec, theta: Theta, x, y: int, link: Link) -> float
     P = category_probs(theta, x, link)
     if not 1 <= y <= P.size:
         raise ContractError(f"category {y} outside 1..{P.size}")
-    return float(_unit_losses(spec, P, y - 1)[0])
+    return float(_unit_losses(spec, P[:, None], np.array([y - 1]))[0][0])
 
 
 def _observed_index(data: Dataset) -> np.ndarray:
@@ -160,9 +160,9 @@ def _observed_index(data: Dataset) -> np.ndarray:
 def _unit_losses(spec: LossSpec, P: np.ndarray, obs):
     """Per-unit r of every kind: log f, r_DP, or r_g for both gamma kinds.
 
-    P is a category-major table (M, ...) and obs the flat indices of
-    the observed categories in it, so f = P.take(obs); one column (M,)
-    with a scalar obs gives one loss.  The table is raised to t once:
+    P is a category-major table (..., M, n) and obs the flat indices of
+    the observed categories in it, so f = P.take(obs).  The table is
+    raised to t once:
     W = P^t gives f^t = W.take(obs) and S = sum_m P_m^{1+t} =
     sum_m W_m P_m.  Returns (r, f, W, S); W and S are None for loglik.
     The loss term of every kind but gamma_synthetic is -n sum_i s_i r_i.
@@ -172,7 +172,7 @@ def _unit_losses(spec: LossSpec, P: np.ndarray, obs):
         return np.log(f), f, None, None
     t = spec.tuning
     W = P ** t
-    S = (W * P).sum(axis=0)
+    S = (W * P).sum(axis=-2)
     ft = W.take(obs)
     if spec.kind == "dp":
         r = ft / t - S / (1.0 + t)
@@ -201,21 +201,38 @@ def _loo_log_ratios(spec: LossSpec, P: np.ndarray, obs: np.ndarray) -> np.ndarra
 def log_prior(theta: Theta, prior: Prior) -> float:
     """Log prior density of theta, placed on its unconstrained coordinates."""
     u = theta_to_unconstrained(theta)
-    val, _ = _log_prior_parts(u, theta.beta.size, prior)
-    return val
+    const, precision = _prior_constants(prior, theta.beta.size, theta.delta.size)
+    val, _ = _log_prior_parts(u[None], const, precision)
+    return float(val[0])
 
 
-def _log_prior_parts(u: np.ndarray, n_beta: int, prior: Prior):
-    ub = u[:n_beta]
-    uc = u[n_beta:]
-    val = (
-        -0.5 * float(ub @ ub) / prior.sd_beta**2
-        - n_beta * (np.log(prior.sd_beta) + _LOG_SQRT_2PI)
-        - 0.5 * float(uc @ uc) / prior.sd_cut**2
-        - uc.size * (np.log(prior.sd_cut) + _LOG_SQRT_2PI)
-    )
-    grad = np.concatenate([-ub / prior.sd_beta**2, -uc / prior.sd_cut**2])
-    return val, grad
+def _prior_constants(prior: Prior, n_beta: int, n_cut: int):
+    """(constant, precision) of the normal prior on n_beta + n_cut coordinates.
+
+    The log density is -0.5 sum_j precision_j u_j^2 - constant, with
+    precision 1/sd^2 and constant sum_j (log sd_j + log sqrt(2 pi)).
+    """
+    const = (n_beta * (np.log(prior.sd_beta) + _LOG_SQRT_2PI)
+             + n_cut * (np.log(prior.sd_cut) + _LOG_SQRT_2PI))
+    precision = np.concatenate([np.full(n_beta, 1.0 / prior.sd_beta**2),
+                                np.full(n_cut, 1.0 / prior.sd_cut**2)])
+    return float(const), precision
+
+
+def _log_prior_parts(U: np.ndarray, const: float, precision: np.ndarray):
+    """Log prior (B,) and its gradient (B, d) at the rows of U (B, d)."""
+    grad = -U * precision
+    return 0.5 * _rowdot(U, grad) - const, grad
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[r, i] b[r, i] of every row r.
+
+    einsum without optimize sums each row on its own, so a row's bits
+    do not depend on the rows beside it; a BLAS product across the
+    row axis does not promise that.
+    """
+    return np.einsum("ri,ri->r", a, b)
 
 
 def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
@@ -232,12 +249,18 @@ def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
 class ObjectiveCore:
     """Reusable workspace evaluating one weighted objective on one dataset.
 
-    Holds the design matrix and index plumbing so that repeated calls
-    inside an optimizer allocate only the per-call temporaries.
-    value_and_grad is the one forward and backward pass, and the one
-    that wlb.minimize calls per trial point; value is its first element.
-    All methods are pure given their arguments; instances hold no
-    mutable state and can be shared across threads.
+    Holds the design matrix, index plumbing and prior constants so that
+    repeated calls inside an optimizer allocate only the per-call
+    temporaries.  block_value_and_grad is the one forward and backward
+    pass: it evaluates B independent rows, parameter vector U[b] under
+    weights W[b], and is what wlb.minimize_block calls per round.
+    value_and_grad is its one-row case and value the first element of
+    that.  No product runs across the row axis (einsum, elementwise
+    operations and reductions along a fixed axis only), so a row's bits
+    do not depend on which rows share its block.  The only state a
+    call changes is the cached gather indices of the largest block
+    seen; a call reads them as one tuple, so threads may share an
+    instance.
     """
 
     def __init__(self, spec: LossSpec, data: Dataset, prior: Prior, link: Link):
@@ -249,134 +272,186 @@ class ObjectiveCore:
         self.p = data.p
         self.M = data.n_categories
         self.n_params = self.p + self.M - 1
-        K = self.M - 1
         self._c = data.y - 1
-        self._obs = _observed_index(data)
-        # Flat indices of each unit's upper and lower cutpoint density in
-        # the (K, n) density table with one 0 appended, which stands in
-        # for the unbounded end of the first and last category.
-        at = self._c * self.n + np.arange(self.n)
-        self._hi = np.where(self._c < K, at, self.n * K)
-        self._lo = np.where(self._c > 0, at - self.n, self.n * K)
+        self._XT = np.ascontiguousarray(data.X.T)
+        self._prior_const, self._precision = _prior_constants(
+            prior, self.p, self.M - 1)
+        self._gathers = (0, None, None, None, None)
 
-    def _split(self, u: np.ndarray):
-        """Decode u without the strict-ordering check.
+    def _gather_index(self, B: int):
+        """Flat gather and scatter indices of the first B rows of a block.
+
+        obs indexes each unit's observed category in the (B, M, n)
+        table; hi and lo its upper and lower cutpoint density in the
+        (B, K, n) density table with one 0 put in front, which stands in
+        for the unbounded end of the first and last category; bins is
+        the (row, category) bin of each unit for the per-row bincount.
+        Row b's indices do not depend on B, so the indices of the
+        largest block seen serve every smaller one.
+        """
+        rows, obs, hi, lo, bins = self._gathers
+        if B > rows:
+            n, M, c = self.n, self.M, self._c
+            K = M - 1
+            rows = B
+            b = np.arange(B)[:, None]
+            obs = b * (M * n) + c * n + np.arange(n)
+            at = 1 + b * (K * n) + c * n + np.arange(n)
+            hi = np.where(c < K, at, 0)
+            lo = np.where(c > 0, at - n, 0)
+            bins = (b * M + c).ravel()
+            self._gathers = (rows, obs, hi, lo, bins)
+        return obs[:B], hi[:B], lo[:B], bins[:B * self.n]
+
+    def _split(self, U: np.ndarray):
+        """Decode the rows of U (B, d) without the strict-ordering check.
 
         exp of a very negative log gap underflows to 0, giving tied
         cutpoints and zero-width categories; the probability clamp
         makes the objective finite there, so optimizers may pass
         through such points freely.
         """
+        p = self.p
+        # Overflow to inf is fine here: an infinite gap puts the later
+        # cutpoints at +inf, and the probability clamp keeps the value
+        # finite, mirroring the underflow-to-zero case.
+        with np.errstate(over="ignore"):
+            gaps = np.exp(U[:, p + 1:])
+        delta = np.empty((U.shape[0], self.M - 1))
+        delta[:, 0] = U[:, p]
+        delta[:, 1:] = U[:, p:p + 1] + np.cumsum(gaps, axis=1)
+        return gaps, delta, np.einsum("ji,rj->ri", self._XT, U[:, :p])
+
+    def _loss_term(self, r: np.ndarray, W: np.ndarray) -> np.ndarray:
+        T = _rowdot(W, r)
+        if self.spec.kind == "gamma_synthetic":
+            g = self.spec.tuning
+            if not (np.isfinite(T) & (T > 0.0)).all():
+                raise DegenerateObjectiveError(
+                    "weighted gamma loss sum is not positive; all category "
+                    "probabilities vanished"
+                )
+            return -(self.n / g) * np.log(g * T)
+        return -self.n * T
+
+    def value(self, u, weights, validate_weights: bool = True) -> float:
+        return self.value_and_grad(u, weights, validate_weights)[0]
+
+    def value_and_grad(self, u, weights, validate_weights: bool = True):
+        """(value, gradient) at u under weights: one row of the block pass."""
+        w = (
+            _check_weights(weights, self.n)
+            if validate_weights
+            else np.asarray(weights, dtype=float)
+        )
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_params,):
             raise ContractError(
                 f"parameter vector must have shape ({self.n_params},), "
                 f"got {u.shape}"
             )
-        beta = u[:self.p]
-        # Overflow to inf is fine here: an infinite gap puts the later
-        # cutpoints at +inf, and the probability clamp keeps the value
-        # finite, mirroring the underflow-to-zero case.
-        with np.errstate(over="ignore"):
-            gaps = np.exp(u[self.p + 1:])
-        delta = u[self.p] + np.concatenate([[0.0], np.cumsum(gaps)])
-        return u, gaps, delta, self.data.X @ beta
+        values, grads = self.block_value_and_grad(u[None], w[None])
+        return float(values[0]), grads[0]
 
-    def _loss_term(self, r: np.ndarray, w: np.ndarray) -> float:
-        if self.spec.kind == "gamma_synthetic":
-            g = self.spec.tuning
-            T = float(w @ r)
-            if not np.isfinite(T) or T <= 0.0:
-                raise DegenerateObjectiveError(
-                    "weighted gamma loss sum is not positive; all category "
-                    "probabilities vanished"
-                )
-            return -(self.n / g) * np.log(g * T)
-        return -self.n * float(w @ r)
+    def block_value_and_grad(self, U, W):
+        """Values (B,) and gradients (B, d) of the rows (U[b], W[b]).
 
-    def value(self, u, weights, validate_weights: bool = True) -> float:
-        return self.value_and_grad(u, weights, validate_weights)[0]
-
-    def value_and_grad(self, u, weights, validate_weights: bool = True):
-        w = (
-            _check_weights(weights, self.n)
-            if validate_weights
-            else np.asarray(weights, dtype=float)
-        )
-        u, gaps, delta, eta = self._split(u)
+        U is (B, d) and W (B, n); weights are not validated.  Tables
+        carry the row axis first, P[b, m, i].
+        """
+        U = np.asarray(U, dtype=float)
+        W = np.asarray(W, dtype=float)
+        B = U.shape[0]
+        if U.shape != (B, self.n_params) or W.shape != (B, self.n):
+            raise ContractError(
+                f"a block needs U of shape (B, {self.n_params}) and weights "
+                f"of shape (B, {self.n}), got {U.shape} and {W.shape}"
+            )
+        gaps, delta, eta = self._split(U)
         kind, t = self.spec.kind, self.spec.tuning
         K = self.M - 1
+        obs, hi, lo, bins = self._gather_index(B)
         if kind == "loglik":
             # log f needs only the two cutpoints of each unit's category.
             f, ghi, glo = _observed_cells(delta, eta, self._c, self.link)
             r = np.log(f)
         else:
-            P, gA = _probs_from_args(delta[:, None] - eta, self.link)
-            r, f, W, S = _unit_losses(self.spec, P, self._obs)
-            gpad = np.append(gA, 0.0)
-            ghi, glo = gpad.take(self._hi), gpad.take(self._lo)
+            P, gA = _probs_from_args(delta[:, :, None] - eta[:, None, :],
+                                     self.link)
+            r, f, Wt, S = _unit_losses(self.spec, P, obs)
+            gpad = np.concatenate([[0.0], gA.ravel()])
+            ghi, glo = gpad.take(hi), gpad.take(lo)
         # d f_i / d eta_i; d f_i / d delta_j is +ghi at j = c_i and
         # -glo at j = c_i - 1, accumulated by _scatter_f below.
         deta_f = glo - ghi
 
-        lp, lp_grad = _log_prior_parts(u, self.p, self.prior)
-        value = self.spec.learning_rate * self._loss_term(r, w) - lp
+        lp, lp_grad = _log_prior_parts(U, self._prior_const, self._precision)
+        value = self.spec.learning_rate * self._loss_term(r, W) - lp
 
         if kind == "loglik":
-            coef = -self.n * w / f
-            gbeta = self.data.X.T @ (coef * deta_f)
-            gdelta = self._scatter_f(coef, ghi, glo)
+            coef = -self.n * W / f
+            gbeta = self._xt(coef * deta_f)
+            gdelta = self._scatter_f(coef, ghi, glo, bins)
         else:
-            # V[k, i] = g(A_ki) (W_ki - W_{k+1,i}) with W = P^t gives both
+            # V[k] = g(A_k) (W_k - W_{k+1}) with W = P^t gives both
             # sum_m W_m dP_m/d delta_k = V[k] and
-            # sum_m W_m dP_m/d eta = -V.sum(axis=0).
-            V = gA * (W[:K] - W[1:])
-            Vsum = V.sum(axis=0)
+            # sum_m W_m dP_m/d eta = -(sum over k of V[k]).
+            V = gA * (Wt[:, :K] - Wt[:, 1:])
+            Vsum = V.sum(axis=1)
             if kind == "dp":
-                ft1 = W.take(self._obs) / f
+                ft1 = Wt.take(obs) / f
                 # d r_i = f^{t-1} df - sum_m P^t dP_m
-                ceta = w * (ft1 * deta_f + Vsum)
-                gbeta = -self.n * (self.data.X.T @ ceta)
+                ceta = W * (ft1 * deta_f + Vsum)
+                gbeta = -self.n * self._xt(ceta)
                 gdelta = -self.n * (
-                    self._scatter_f(w * ft1, ghi, glo) - V @ w
+                    self._scatter_f(W * ft1, ghi, glo, bins) - _vdot(V, W)
                 )
             else:
                 # r_i = f^t S^{-t/(1+t)} / t, so
                 # d r_i = t r_i [df / f - (1/S) sum_m P^t dP_m].
-                wtr = w * (t * r)
+                wtr = W * (t * r)
                 ceta = wtr * (deta_f / f + Vsum / S)
-                gbeta = -(self.data.X.T @ ceta)
-                gdelta = -(self._scatter_f(wtr / f, ghi, glo) - V @ (wtr / S))
+                gbeta = -self._xt(ceta)
+                gdelta = -(self._scatter_f(wtr / f, ghi, glo, bins)
+                           - _vdot(V, wtr / S))
                 # The weighted sum T = sum_i w_i r_i enters the synthetic
                 # kind through -(n/t) log(t T), so its gradient is the
                 # additive one rescaled by n/(t T); the general kind is
                 # plain -n T.
                 if kind == "gamma_synthetic":
-                    T = float(w @ r)
-                    scale = self.n / (t * T)
+                    scale = (self.n / (t * _rowdot(W, r)))[:, None]
                 else:
                     scale = float(self.n)
                 gbeta = scale * gbeta
                 gdelta = scale * gdelta
 
-        grad = np.empty(self.n_params)
-        grad[:self.p] = gbeta
+        grad = np.empty((B, self.n_params))
+        grad[:, :self.p] = gbeta
         # Chain through delta_1 = u[p], delta_{k+1} = delta_k + exp(u[p+k]):
         # each gap coordinate collects the gradient of every later cutpoint.
-        tail = np.cumsum(gdelta[::-1])[::-1]
-        grad[self.p] = tail[0]
+        tail = np.cumsum(gdelta[:, ::-1], axis=1)[:, ::-1]
+        grad[:, self.p] = tail[:, 0]
         if K > 1:
-            grad[self.p + 1:] = gaps * tail[1:]
+            grad[:, self.p + 1:] = gaps * tail[:, 1:]
         grad *= self.spec.learning_rate
         grad -= lp_grad
         return value, grad
 
-    def _scatter_f(self, coef, ghi, glo):
-        """sum_i coef_i * d f_i / d delta, accumulated over units."""
-        K = self.M - 1
-        up = np.bincount(self._c, weights=coef * ghi, minlength=self.M)[:K]
-        down = np.bincount(self._c, weights=coef * glo, minlength=self.M)[1:]
-        return up - down
+    def _xt(self, C: np.ndarray) -> np.ndarray:
+        """C @ X row by row: (B, n) unit coefficients to (B, p)."""
+        return np.einsum("ri,ji->rj", C, self._XT)
+
+    def _scatter_f(self, coef, ghi, glo, bins):
+        """sum_i coef_i * d f_i / d delta of every row, accumulated over units."""
+        B, M = coef.shape[0], self.M
+        up = np.bincount(bins, weights=(coef * ghi).ravel(), minlength=B * M)
+        down = np.bincount(bins, weights=(coef * glo).ravel(), minlength=B * M)
+        return up.reshape(B, M)[:, :-1] - down.reshape(B, M)[:, 1:]
+
+
+def _vdot(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_i V[r, k, i] C[r, i] as a (B, K) array, row by row."""
+    return np.einsum("rki,ri->rk", V, C)
 
 
 def weighted_objective(

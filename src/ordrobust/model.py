@@ -183,24 +183,27 @@ def unconstrained_to_theta(u: np.ndarray, n_beta: int) -> Theta:
 
 
 def _probs_from_args(A: np.ndarray, link: Link):
-    """(P, g) from arguments A[k, i] = delta_k - eta_i, with one link call.
+    """(P, g) from arguments A[..., k, i] = delta_k - eta_i, one link call.
 
-    The tables are category-major: P[m, i] is the clamped probability
-    of category m for unit i, and g = pdf(A).  With units along the
-    contiguous axis, every slice and category sum below runs over whole
-    rows of n values.
+    The tables are category-major: P[..., m, i] is the clamped
+    probability of category m for unit i, and g = pdf(A).  A leading
+    axis, where there is one, holds the rows of a block, each with its
+    own parameters.  With units along the contiguous axis, every slice
+    and category sum below runs over whole rows of n values.
     """
-    K = A.shape[0]
+    K = A.shape[-2]
     cdfA, sfA, gA = link.cdf_sf_pdf(A)
-    P = np.empty((K + 1,) + A.shape[1:])
-    P[0] = cdfA[0]
-    P[K] = sfA[K - 1]
+    P = np.empty(A.shape[:-2] + (K + 1, A.shape[-1]))
+    P[..., 0, :] = cdfA[..., 0, :]
+    P[..., K, :] = sfA[..., K - 1, :]
     if K > 1:
         # Both forms telescope to the same value; the survival form is
         # used when the interval midpoint is positive, where cdf values
         # are near 1 and their difference would cancel.
-        P[1:K] = np.where(
-            (A[:-1] + A[1:]) > 0, sfA[:-1] - sfA[1:], cdfA[1:] - cdfA[:-1]
+        P[..., 1:K, :] = np.where(
+            (A[..., :-1, :] + A[..., 1:, :]) > 0,
+            sfA[..., :-1, :] - sfA[..., 1:, :],
+            cdfA[..., 1:, :] - cdfA[..., :-1, :],
         )
     # Every entry is at most 1 already, so only the floor can bind.
     np.maximum(P, PROB_FLOOR, out=P)
@@ -218,14 +221,16 @@ def _observed_cells(delta: np.ndarray, eta: np.ndarray, c: np.ndarray,
     [-inf, delta, +inf], go through _probs_from_args as a two-cutpoint
     table whose middle row is f.  Its expressions and sf/cdf choice
     are those of the full table, so f, g_hi and g_lo carry the same
-    bits as the full table's entries.
+    bits as the full table's entries.  delta (..., K) and eta (..., n)
+    may carry a leading block axis, one parameter vector per row.
     """
-    pad = np.concatenate([[-np.inf], delta, [np.inf]])
-    B = np.empty((2, eta.size))
-    np.subtract(pad.take(c), eta, out=B[0])
-    np.subtract(pad[1:].take(c), eta, out=B[1])
-    P, g = _probs_from_args(B, link)
-    return P[1], g[1], g[0]
+    inf = np.full(delta.shape[:-1] + (1,), np.inf)
+    pad = np.concatenate([-inf, delta, inf], axis=-1)
+    A = np.empty(eta.shape[:-1] + (2, eta.shape[-1]))
+    np.subtract(pad.take(c, axis=-1), eta, out=A[..., 0, :])
+    np.subtract(pad[..., 1:].take(c, axis=-1), eta, out=A[..., 1, :])
+    P, g = _probs_from_args(A, link)
+    return P[..., 1, :], g[..., 1, :], g[..., 0, :]
 
 
 def category_probs(theta: Theta, x, link: Link):

@@ -21,15 +21,21 @@ shipped to every chunk unchanged.  A draw is one minimization from that
 start, and its flag is that minimization's status: converged, max_iters
 or failed.
 
-The minimizer is a dense BFGS on one callable that returns the value
-and the gradient together (ObjectiveCore.value_and_grad), called once
-per trial point.  A step is accepted by the Armijo test or, where
-Armijo can no longer resolve the decrease from rounding, by the
-approximate Wolfe test of Hager & Zhang (2005).  It guarantees the
-contract the sampler needs: the lowest iterate seen on every exit that
-is not converged, an honest status on every exit path, and tolerance
-of objectives that return +inf or nan in far regions (the step is
-shrunk until the value is finite).
+The minimizer is a dense BFGS that runs a block of independent
+problems in lock step: each round, one call of the block's value and
+gradient (ObjectiveCore.block_value_and_grad) moves every unfinished
+row to its next trial point, and finished rows leave the block.  The
+draws of a chunk are minimized this way, _block_size(core) at a time,
+so the objective pass's fixed cost is shared by the block.  A step is
+accepted by the Armijo test or, where Armijo can no longer resolve the
+decrease from rounding, by the approximate Wolfe test of Hager & Zhang
+(2005).  Every row keeps the contract the sampler needs: the lowest
+iterate seen on every exit that is not converged, an honest status on
+every exit path, and tolerance of objectives that return +inf or nan in
+far regions (the step is shrunk until the value is finite).  No product
+runs across the rows, so a row's bits do not depend on its block, and
+the (seed, b) determinism holds whatever the worker count.  minimize is
+the one-row case, used for the pilot fit and the shared start.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .links import Link
-from .losses import LossSpec, ObjectiveCore, Prior
+from .losses import LossSpec, ObjectiveCore, Prior, _rowdot
 from .model import ContractError, Dataset, Theta, theta_to_unconstrained, unconstrained_to_theta
 
 __all__ = [
@@ -52,6 +58,7 @@ __all__ = [
     "SamplingFailureError",
     "sample_dirichlet_uniform",
     "minimize",
+    "minimize_block",
     "wlb_sample",
     "wlb_sample_batch",
 ]
@@ -64,6 +71,14 @@ _WOLFE_LOW = 0.9
 _WOLFE_HIGH = -0.8
 _MAX_BACKTRACKS = 60
 _CURVATURE_FLOOR = 1e-10
+# Element budget of one block pass: a chunk's draws are minimized
+# together in blocks of max(1, _BLOCK_ELEMENTS // (n * M)) rows.  Small
+# tables gain most, as each pass's fixed cost is shared by more rows.
+# Past about 15,000 elements (120 KB per (M, B, n) table, of which a
+# pass keeps over a dozen alive) the per-row cost of the robust passes
+# jumps by half on a 2 MB L2 cache: at n = 1000, M = 5 between blocks
+# of 3 and 4, at n = 200, M = 5 between 16 and 20.
+_BLOCK_ELEMENTS = 15_000
 # Rows whose robust z-score exceeds this in any usable covariate are
 # left out of the pilot fit that seeds the per-draw minimizations.
 _LEVERAGE_ZMAX = 6.0
@@ -147,20 +162,51 @@ def sample_dirichlet_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
              H0=None) -> MinimizeResult:
-    """Dense BFGS with Armijo backtracking and approximate-Wolfe acceptance.
+    """Dense BFGS on one problem: the one-row case of minimize_block.
 
     fg(x) returns the pair (value, gradient), and every trial point
-    costs exactly one call: the line search reads the value, and an
-    accepted step keeps the gradient that came with it.  The gradient
-    of a trial whose value is not finite is never read.
+    costs exactly one call; the gradient of a trial whose value is not
+    finite is never read (fg may return None for it).  x0, max_iters,
+    grad_tol, H0 and the result are those of minimize_block for a block
+    of one row.
+    """
+    x0 = np.asarray(x0, dtype=float)
+
+    def one_row(X, rows):
+        f, g = fg(X[0])
+        f = float(f)
+        if not math.isfinite(f):
+            return np.array([f]), np.full(X.shape, np.nan)
+        return np.array([f]), np.asarray(g, dtype=float).reshape(X.shape)
+
+    return minimize_block(one_row, x0[None], max_iters, grad_tol, H0)[0]
+
+
+def minimize_block(fg, X0, max_iters: int = 500, grad_tol: float = 1e-6,
+                   H0=None) -> list:
+    """Dense BFGS on B independent problems at once, one MinimizeResult each.
+
+    Row b starts at X0[b] (X0 is (B, d)).  fg(X, rows) returns the pair
+    (values (k,), gradients (k, d)) at the rows of X (k, d), which are
+    the block's rows `rows`: slice(None) while every row is unfinished,
+    then an index array of the unfinished rows in block order.  Each
+    round makes one fg call, which moves every unfinished row to its
+    next trial point; a row's gradient is never read where its value is
+    not finite.  Rows share nothing but that call: the rules below act
+    on each row alone, and every operation is elementwise or a
+    reduction within a row, so a row's result does not depend on the
+    other rows of its block.
 
     A trial step x + t*p is accepted if it passes Armijo.  Near the
     optimum the decrease Armijo asks for drops below the rounding of
     f, so a finite trial that fails Armijo with f_try <= f + 1e-12*|f|
     is accepted instead if its directional derivative passes the
-    approximate Wolfe test 0.9*g.p <= g_try.p <= -0.8*g.p.  H0 seeds
-    the inverse Hessian approximation; None starts from the identity,
-    rescaled after the first step.
+    approximate Wolfe test 0.9*g.p <= g_try.p <= -0.8*g.p.  A rejected
+    step is halved, at most 60 times.  The BFGS update is skipped where
+    the curvature s.y is not above 1e-10*|s||y|, and a direction that
+    is not downhill resets that row to steepest descent.  H0, one (d, d)
+    matrix, seeds every row's inverse Hessian approximation; None
+    starts from the identity, rescaled after the first step.
 
     status converged means the gradient 2-norm fell to grad_tol or
     below, and the current iterate is returned, also when that happens
@@ -168,81 +214,163 @@ def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
     failed means no acceptable finite step existed.  An accepted step
     may raise fun by up to 1e-12*|fun|, so descent is not monotone:
     max_iters and failed return the lowest iterate seen.  inv_hessian
-    is the final BFGS matrix (None if it is still the identity), and
-    n_evals counts calls of fg.
+    is the row's final BFGS matrix (None if it is still the identity),
+    and n_evals counts the fg rounds the row took part in.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    d = x.size
-    H = None if H0 is None else np.asarray(H0, dtype=float)
-    fx, g = fg(x)
-    fx = float(fx)
-    n_evals = 1
-    if not math.isfinite(fx):
-        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_evals)
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        return MinimizeResult(x, fx, "failed", 0, np.inf, H, n_evals)
-    gnorm = math.sqrt(float(g @ g))
-    if gnorm <= grad_tol:
-        return MinimizeResult(x, fx, "converged", 0, gnorm, H, n_evals)
-    best_x, best_f, best_gnorm = x, fx, gnorm
+    X0 = np.array(X0, dtype=float)
+    B, d = X0.shape
+    out = [None] * B
+    F, G = fg(X0, slice(None))
+    F, G = np.array(F, dtype=float), np.array(G, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = np.isfinite(F) & np.isfinite(G).all(axis=1)
+        gn = np.sqrt(_rowdot(G, G))
+    H0 = None if H0 is None else np.asarray(H0, dtype=float)
+    live = ok & (gn > grad_tol)
+    for j in np.flatnonzero(~live):
+        status, gj = ("converged", gn[j]) if ok[j] else ("failed", np.inf)
+        out[j] = MinimizeResult(X0[j].copy(), float(F[j]), status, 0, float(gj),
+                                H0, 1)
 
-    def best(status, n_iters):
-        return MinimizeResult(best_x, best_f, status, n_iters, best_gnorm,
-                              H, n_evals)
+    # State of the unfinished rows, in block order.  x, fx, g and gn are
+    # replaced, never written in place, so best_* may share them.
+    rows = np.flatnonzero(live)
+    k = rows.size
+    x, fx, g = X0, F, G
+    if k < B:
+        x, fx, g, gn = x[rows], fx[rows], g[rows], gn[rows]
+    if H0 is None:
+        H, ident = np.zeros((k, d, d)), np.ones(k, dtype=bool)
+    else:
+        H, ident = np.broadcast_to(H0, (k, d, d)).copy(), np.zeros(k, dtype=bool)
+    best_x, best_f, best_gn = x, fx, gn
+    n_iters = np.ones(k, dtype=int)  # the iteration under way
+    n_evals = np.ones(k, dtype=int)
+    step, nback = np.ones(k), np.zeros(k, dtype=int)
+    pdir, slope, ident = _directions(H, g, gn, ident)
 
-    for n_iters in range(1, max_iters + 1):
-        p = -g if H is None else -(H @ g)
-        slope = float(g @ p)
-        if slope >= 0.0:
-            # Numerical breakdown of the approximation; fall back to
-            # steepest descent for this step.
-            H = None
-            p = -g
-            slope = -(gnorm * gnorm)
+    while k:
+        Xt = x + step[:, None] * pdir
+        Ft, Gt = fg(Xt, slice(None) if k == B else rows)
+        Ft, Gt = np.asarray(Ft, dtype=float), np.asarray(Gt, dtype=float)
+        n_evals += 1
+        fin = np.isfinite(Ft)
+        gfin = np.isfinite(Gt).all(axis=1)
+        acc = fin & (Ft <= fx + _ARMIJO_C1 * step * slope)
+        fail = acc & ~gfin
+        if np.count_nonzero(acc) < k:
+            near = fin & gfin & ~acc & (Ft <= fx + _WOLFE_FTOL * np.abs(fx))
+            if np.count_nonzero(near):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    dd = _rowdot(Gt, pdir)
+                acc |= near & (_WOLFE_LOW * slope <= dd) & (dd <= _WOLFE_HIGH * slope)
+            step = np.where(acc, 1.0, 0.5 * step)
+            nback = np.where(acc, 0, nback + 1)
+            fail = (acc & ~gfin) | (nback == _MAX_BACKTRACKS)
+        moved = acc & gfin
+        n_moved = np.count_nonzero(moved)
+        if n_moved == k:
+            H, ident = _bfgs_update(H, ident, Xt - x, Gt - g)
+            x, fx, g = Xt, Ft, Gt
+        elif n_moved:
+            m = np.flatnonzero(moved)
+            H[m], ident[m] = _bfgs_update(H[m], ident[m], Xt[m] - x[m], Gt[m] - g[m])
+            x = np.where(moved[:, None], Xt, x)
+            fx = np.where(moved, Ft, fx)
+            g = np.where(moved[:, None], Gt, g)
+        gn = np.sqrt(_rowdot(g, g))
+        conv = moved & (gn <= grad_tol)
+        better = moved & ~conv & (fx <= best_f)
+        n_better = np.count_nonzero(better)
+        if n_better == k:
+            best_x, best_f, best_gn = x, fx, gn
+        elif n_better:
+            best_x = np.where(better[:, None], x, best_x)
+            best_f = np.where(better, fx, best_f)
+            best_gn = np.where(better, gn, best_gn)
+        capped = moved & ~conv & (n_iters == max_iters)
+        done = conv | capped | fail
+        if np.count_nonzero(done):
+            for j in np.flatnonzero(done):
+                # converged keeps the current iterate; the other exits
+                # return the lowest iterate seen.
+                xs, fs, gs = (x, fx, gn) if conv[j] else (best_x, best_f, best_gn)
+                status = ("converged" if conv[j] else
+                          "max_iters" if capped[j] else "failed")
+                out[rows[j]] = MinimizeResult(
+                    xs[j].copy(), float(fs[j]), status, int(n_iters[j]),
+                    float(gs[j]), None if ident[j] else H[j].copy(),
+                    int(n_evals[j]))
+            keep = ~done
+            rows, moved = rows[keep], moved[keep]
+            k = rows.size
+            if not k:
+                break
+            n_moved = np.count_nonzero(moved)
+            x, fx, g, gn, H, ident = x[keep], fx[keep], g[keep], gn[keep], H[keep], ident[keep]
+            best_x, best_f, best_gn = best_x[keep], best_f[keep], best_gn[keep]
+            n_iters, n_evals = n_iters[keep], n_evals[keep]
+            pdir, slope, step, nback = pdir[keep], slope[keep], step[keep], nback[keep]
+        if n_moved == k:
+            n_iters += 1
+            step, nback = np.ones(k), np.zeros(k, dtype=int)
+            pdir, slope, ident = _directions(H, g, gn, ident)
+        elif n_moved:
+            # Rows still in their line search keep their direction.
+            n_iters += moved
+            step = np.where(moved, 1.0, step)
+            nback = np.where(moved, 0, nback)
+            p, sl, idn = _directions(H, g, gn, ident)
+            pdir = np.where(moved[:, None], p, pdir)
+            slope = np.where(moved, sl, slope)
+            ident = np.where(moved, idn, ident)
+    return out
 
-        step = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            x_try = x + step * p
-            f_try, g_try = fg(x_try)
-            f_try = float(f_try)
-            n_evals += 1
-            if math.isfinite(f_try):
-                g_try = np.asarray(g_try, dtype=float)
-                if f_try <= fx + _ARMIJO_C1 * step * slope:
-                    break
-                if f_try <= fx + _WOLFE_FTOL * abs(fx) and np.isfinite(g_try).all():
-                    if _WOLFE_LOW * slope <= float(g_try @ p) <= _WOLFE_HIGH * slope:
-                        break
-            step *= 0.5
-        else:
-            return best("failed", n_iters)
-        if not np.isfinite(g_try).all():
-            return best("failed", n_iters)
 
-        s = x_try - x
-        yv = g_try - g
-        sy = float(s @ yv)
-        if sy > (_CURVATURE_FLOOR * math.sqrt(float(s @ s))
-                  * math.sqrt(float(yv @ yv))):
-            if H is None:
-                # Initial scaling puts the identity on the scale of the
-                # true inverse Hessian before the first update.
-                H = np.eye(d) * (sy / float(yv @ yv))
-            rho = 1.0 / sy
-            Hy = H @ yv
-            outer = s[:, None] * Hy
-            H = H - rho * (outer + outer.T) + rho * (
-                1.0 + rho * float(yv @ Hy)
-            ) * (s[:, None] * s)
-        x, fx, g = x_try, f_try, g_try
-        gnorm = math.sqrt(float(g @ g))
-        if gnorm <= grad_tol:
-            return MinimizeResult(x, fx, "converged", n_iters, gnorm, H, n_evals)
-        if fx <= best_f:
-            best_x, best_f, best_gnorm = x, fx, gnorm
+def _directions(H, g, gn, ident):
+    """(p, slope, ident) of every row: p = -H g, or -g where ident.
 
-    return best("max_iters", max_iters)
+    A row whose direction is not downhill (slope = g.p >= 0) is a
+    numerical breakdown of its approximation; it falls back to steepest
+    descent and is marked ident, so its next update starts afresh.
+    """
+    p = -np.einsum("rij,rj->ri", H, g)
+    if np.count_nonzero(ident):
+        p = np.where(ident[:, None], -g, p)
+    slope = _rowdot(g, p)
+    reset = slope >= 0.0
+    if np.count_nonzero(reset):
+        ident = ident | reset
+        p = np.where(reset[:, None], -g, p)
+        slope = np.where(reset, -(gn * gn), slope)
+    return p, slope, ident
+
+
+def _bfgs_update(H, ident, s, yv):
+    """(H, ident) of rows after a step s that changed the gradient by yv.
+
+    Rows whose curvature s.y is not above 1e-10*|s||y| keep H as it
+    is.  An ident row's identity is first put on the scale of the true
+    inverse Hessian, (s.y / y.y) I, and then updated.
+    """
+    sy = _rowdot(s, yv)
+    yy = _rowdot(yv, yv)
+    curv = sy > _CURVATURE_FLOOR * np.sqrt(_rowdot(s, s)) * np.sqrt(yy)
+    if np.count_nonzero(curv) < curv.size:
+        H, ident = H.copy(), ident.copy()
+        c = np.flatnonzero(curv)
+        H[c], ident[c] = _bfgs_update(H[c], ident[c], s[c], yv[c])
+        return H, ident
+    if np.count_nonzero(ident):
+        scaled = np.eye(s.shape[1]) * (sy / yy)[:, None, None]
+        H = np.where(ident[:, None, None], scaled, H)
+        ident = np.zeros_like(ident)
+    rho = 1.0 / sy
+    Hy = np.einsum("rij,rj->ri", H, yv)
+    outer = s[:, :, None] * Hy[:, None, :]
+    return H - rho[:, None, None] * (outer + outer.transpose(0, 2, 1)) + (
+        rho * (1.0 + rho * _rowdot(yv, Hy)))[:, None, None] * (
+        s[:, :, None] * s[:, None, :]), ident
 
 
 def _weighted(core: ObjectiveCore, w: np.ndarray):
@@ -345,26 +473,39 @@ def _shared_start(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray):
     return res.x, res.inv_hessian
 
 
+def _block_size(core: ObjectiveCore) -> int:
+    """Rows per block pass: as many n x M tables as fit _BLOCK_ELEMENTS."""
+    return max(1, _BLOCK_ELEMENTS // (core.n * core.M))
+
+
 def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
                H0, b_range, equal_weights: bool):
     """(x, status) of one minimization per draw index in b_range.
 
     Draw b minimizes the objective under the weights of stream
-    (seed, b), starting at x_start with inverse Hessian H0.
+    (seed, b), starting at x_start with inverse Hessian H0.  The draws
+    are minimized in lock step, _block_size(core) at a time, each block
+    on one objective pass per round; a draw's result does not depend on
+    the block it shares.
     """
     n = core.n
+    if equal_weights:
+        W = np.full((len(b_range), n), 1.0 / n)
+    else:
+        W = np.array([
+            sample_dirichlet_uniform(n, np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
+            for b in b_range
+        ])
+    size = _block_size(core)
     out = []
-    for b in b_range:
-        if equal_weights:
-            w = np.full(n, 1.0 / n)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))
-            )
-            w = sample_dirichlet_uniform(n, rng)
-        res = minimize(_weighted(core, w), x_start, config.max_iters,
-                       config.grad_tol, H0=H0)
-        out.append((res.x, res.status))
+    for lo in range(0, len(W), size):
+        Wb = W[lo:lo + size]
+        results = minimize_block(
+            lambda X, rows, Wb=Wb: core.block_value_and_grad(X, Wb[rows]),
+            np.broadcast_to(x_start, (len(Wb), x_start.size)),
+            config.max_iters, config.grad_tol, H0=H0)
+        out.extend((res.x, res.status) for res in results)
     return out
 
 

@@ -415,6 +415,48 @@ class TestSimulate:
         assert flag in err and "'abc'" in err
         assert "Traceback" not in err
 
+    def test_one_pool_per_replicate(self, tmp_path, recorded_pools):
+        # the fits of one replicate share one batch and so one pool
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            assert main([
+                "simulate", "--error", "normal", "--rho", "0.2", "--reps",
+                "2", "--n", "60", "--draws", "6", "--losses", "loglik,dp",
+                "--tunings", "0.3", "--seed", "3", "--workers", workers,
+                "--out-dir", str(out),
+            ]) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("mse.csv", "coverage.csv")])
+        assert len(recorded_pools) == 2
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--error", "normal", "--reps", "2", "--n", "60",
+      "--losses", "loglik,dp", "--tunings", "0.3,0.3"], "dp at tuning 0.3"),
+    (["simulate", "--error", "normal", "--reps", "2", "--n", "60",
+      "--losses", "loglik,dp,loglik", "--tunings", "0.3"], "loglik"),
+    (["robustness", "--mode", "index", "--losses", "dp,gamma-gen,dp",
+      "--tunings", "0.5"], "dp at tuning 0.5"),
+    (["robustness", "--mode", "sweep", "--unit", "0", "--omegas", "0,4",
+      "--losses", "gamma-syn", "--tunings", "0.5,0.50"],
+     "gamma-syn at tuning 0.5"),
+], ids=["simulate-tuning", "simulate-loss", "robustness-index",
+        "robustness-sweep"])
+def test_repeated_loss_spec_is_usage_error(tmp_path, capsys, argv, named):
+    # a repeated (loss, tuning) would be fitted and counted twice
+    if argv[0] == "robustness":
+        data, pre = make_inputs(tmp_path, n=25)
+        argv = argv + ["--data", data, "--preprocess", pre]
+    out = tmp_path / "o"
+    code = main(argv + ["--draws", "5", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"name {named} more than once" in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestRobustness:
     def test_index_mode(self, tmp_path):

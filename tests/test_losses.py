@@ -203,6 +203,24 @@ class TestLogPrior:
         th2 = Theta(beta=beta[perm], delta=[-1.0, 0.5])
         assert_allclose(log_prior(th, Prior()), log_prior(th2, Prior()), rtol=1e-12)
 
+    def test_matches_closed_form(self):
+        # the constant term and the precisions are computed once per
+        # prior; the value is the textbook normal log density
+        rng = np.random.default_rng(29)
+        for sd_beta, sd_cut in [(10.0, 10.0), (2.5, 0.7), (0.3, 40.0)]:
+            beta = rng.normal(0, 2, 3)
+            delta = np.cumsum(rng.uniform(0.2, 1.5, 4)) - 2.0
+            th = Theta(beta=beta, delta=delta)
+            ub = beta
+            uc = np.concatenate([delta[:1], np.log(np.diff(delta))])
+            log_sqrt_2pi = 0.5 * np.log(2.0 * np.pi)
+            want = (-0.5 * float(ub @ ub) / sd_beta**2
+                    - ub.size * (np.log(sd_beta) + log_sqrt_2pi)
+                    - 0.5 * float(uc @ uc) / sd_cut**2
+                    - uc.size * (np.log(sd_cut) + log_sqrt_2pi))
+            got = log_prior(th, Prior(sd_beta=sd_beta, sd_cut=sd_cut))
+            assert_allclose(got, want, rtol=1e-14)
+
 
 class TestWeightedObjective:
     def test_weight_validation(self):
@@ -315,6 +333,56 @@ class TestWeightedObjective:
             )
             denom = max(float(np.linalg.norm(fd)), 1e-12)
             assert float(np.linalg.norm(grad - fd)) / denom < 1e-5
+
+    @pytest.mark.parametrize("name", sorted(LINKS))
+    def test_block_pass_matches_oracle(self, name):
+        # one block of six rows, each with its own parameters and
+        # weights, every kind; floored units keep f at the floor in
+        # every row
+        link = get_link(name)
+        rng = np.random.default_rng(37)
+        for kind in ("loglik",) + ROBUST_KINDS:
+            data, u = self.floored_instance(rng, name)
+            B = 6
+            U = u + rng.normal(0, 0.05, size=(B, u.size))
+            # beta_1 >= its floored value keeps those units at the floor
+            U[:, 0] = u[0] + np.abs(U[:, 0] - u[0])
+            W = rng.standard_exponential((B, data.n))
+            W /= W.sum(axis=1, keepdims=True)
+            t = float(rng.uniform(0.2, 1.2))
+            spec = LossSpec(kind=kind, tuning=0.0 if kind == "loglik" else t)
+            core = ObjectiveCore(spec, data, Prior(), link)
+            values, grads = core.block_value_and_grad(U, W)
+            assert values.shape == (B,) and grads.shape == (B, u.size)
+            for b in range(B):
+                theta = unconstrained_to_theta(U[b], data.p)
+                P = category_probs(theta, data.X, link)
+                f = P[np.arange(data.n), data.y - 1]
+                assert np.count_nonzero(f == PROB_FLOOR) >= 1
+
+                def oracle(v, b=b):
+                    return oracles.direct_weighted_objective(
+                        kind, spec.tuning, 1.0, v, data.X, data.y, W[b],
+                        10.0, 10.0, link)
+
+                assert_allclose(values[b], oracle(U[b]), rtol=1e-12, atol=1e-12)
+                fd = oracles.fd_gradient(oracle, U[b])
+                denom = max(float(np.linalg.norm(fd)), 1e-12)
+                assert float(np.linalg.norm(grads[b] - fd)) / denom < 1e-5
+                # the one-row pass is the same row of the block
+                v1, g1 = core.value_and_grad(U[b], W[b])
+                assert v1 == values[b]
+                assert_allclose(g1, grads[b], rtol=0, atol=0)
+
+    def test_block_shape_validated(self):
+        rng = np.random.default_rng(38)
+        data, u = small_instance(rng, n=4)
+        core = ObjectiveCore(LossSpec(kind="loglik"), data, Prior(), PROBIT)
+        W = np.full((2, 4), 0.25)
+        with pytest.raises(ContractError, match="block"):
+            core.block_value_and_grad(np.tile(u, (3, 1)), W)
+        with pytest.raises(ContractError, match="block"):
+            core.block_value_and_grad(u, W[:1])
 
     def test_gamma_synthetic_degenerate(self):
         # every unit's observed probability at the floor and a tuning

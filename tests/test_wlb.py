@@ -1,7 +1,7 @@
 """Dirichlet weights, the BFGS minimizer, and the bootstrap sampler."""
 
 import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +22,7 @@ from ordrobust import (
     autocorrelation,
     get_link,
     minimize,
+    minimize_block,
     sample_dirichlet_uniform,
     simulate_contaminated,
     simulate_grid,
@@ -240,6 +241,99 @@ class TestMinimize:
         assert capped.grad_norm == 1.0
 
 
+def contract_problems():
+    """(fg, x0) of the TestMinimize problems, each padded to 3 coordinates.
+
+    The extra coordinates carry zero gradient, so every problem keeps its
+    own path; the wall returns (inf, None) past x = 1.5.
+    """
+    def pad(fg, m):
+        def padded(x):
+            f, g = fg(x[:m])
+            return f, None if g is None else np.concatenate([g, np.zeros(3 - m)])
+        return padded
+
+    c_wall = np.array([1.4, 0.0])
+
+    def wall(x):
+        if x[0] > 1.5:
+            return np.inf, None
+        return float(np.sum((x - c_wall) ** 2)), 2.0 * (x - c_wall)
+
+    def wolfe(x):
+        return (1.0 if x[0] == 1.0 else 1.0 + 1e-13), x.copy()
+
+    def wolfe_off(x):
+        f, g = wolfe(x)
+        return f, g + (0.0 if x[0] == 1.0 else 0.1)
+
+    return [
+        (quadratic(), np.zeros(3)),
+        (pad(rosenbrock(), 2), np.array([-1.2, 1.0, 0.0])),
+        (pad(wall, 2), np.array([0.0, 3.0, 0.0])),
+        (lambda x: (float(np.nan), np.zeros(3)), np.zeros(3)),
+        (pad(wolfe, 1), np.array([1.0, 0.0, 0.0])),
+        (pad(wolfe_off, 1), np.array([1.0, 0.0, 0.0])),
+    ]
+
+
+class TestMinimizeBlock:
+    """minimize_block applies minimize's contract to every row alone."""
+
+    @staticmethod
+    def block_fg(problems):
+        def fg(X, rows):
+            ids = np.arange(len(problems))[rows]
+            F = np.empty(len(ids))
+            G = np.full(X.shape, np.nan)
+            for j, r in enumerate(ids):
+                f, g = problems[r][0](X[j])
+                F[j] = f
+                if np.isfinite(f):
+                    G[j] = g
+            return F, G
+        return fg
+
+    @pytest.mark.parametrize("max_iters, grad_tol", [(2000, 1e-9), (1, 1e-6),
+                                                     (3, 1e-12)])
+    def test_rows_match_lone_minimizations(self, max_iters, grad_tol):
+        problems = contract_problems()
+        X0 = np.array([x0 for _, x0 in problems])
+        block = minimize_block(self.block_fg(problems), X0, max_iters, grad_tol)
+        statuses = []
+        for (fg, x0), got in zip(problems, block):
+            alone = minimize(fg, x0, max_iters, grad_tol)
+            assert got.status == alone.status
+            assert_allclose(got.x, alone.x, rtol=0, atol=0)
+            assert got.fun == alone.fun or (np.isnan(got.fun) and np.isnan(alone.fun))
+            assert got.n_iters == alone.n_iters
+            assert got.n_evals == alone.n_evals
+            assert got.grad_norm == alone.grad_norm
+            statuses.append(got.status)
+        # the block mixes exits: every row finishes on its own terms
+        assert statuses[3] == "failed"
+        if max_iters == 2000:
+            assert statuses[:3] == ["converged"] * 3
+            assert statuses[5] == "converged"  # the approximate Wolfe step
+        if max_iters == 1:
+            assert statuses[5] == "max_iters" and block[5].x[0] == 1.0
+
+    def test_h0_rows_and_reordering(self):
+        # a shared H0 seeds every row, and a row's result does not
+        # depend on its position or on the rows around it
+        fg1, x0, H0, c = exact_newton_quadratic()
+        problems = [(fg1, x0), (fg1, x0 + 1.0), (quadratic(), np.zeros(3))]
+        X0 = np.array([x for _, x in problems])
+        fwd = minimize_block(self.block_fg(problems), X0, H0=H0)
+        rev = minimize_block(self.block_fg(problems[::-1]), X0[::-1], H0=H0)
+        for a, b in zip(fwd, rev[::-1]):
+            assert a.status == b.status and a.n_evals == b.n_evals
+            assert_allclose(a.x, b.x, rtol=0, atol=0)
+            assert_allclose(a.inv_hessian, b.inv_hessian, rtol=0, atol=0)
+        assert fwd[0].n_iters == 1 and fwd[1].n_iters == 1
+        assert_allclose(fwd[0].x, c, atol=1e-10)
+
+
 class TestStallRegression:
     """Draws that stalled at the floating-point floor under Armijo alone.
 
@@ -422,11 +516,11 @@ class TestWlbSample:
         rng = np.random.default_rng(18)
         data = toy_data(rng, n=40)
 
-        def always_fail(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
-            x0 = np.asarray(x0, dtype=float)
-            return MinimizeResult(x0, np.inf, "failed", 0, np.inf)
+        def always_fail(fg, X0, max_iters=500, grad_tol=1e-6, H0=None):
+            return [MinimizeResult(x0, np.inf, "failed", 0, np.inf)
+                    for x0 in np.asarray(X0, dtype=float)]
 
-        monkeypatch.setattr(wlb_module, "minimize", always_fail)
+        monkeypatch.setattr(wlb_module, "minimize_block", always_fail)
         with pytest.raises(SamplingFailureError, match="loglik"):
             wlb_sample(
                 LossSpec(kind="loglik"), data, Prior(), PROBIT,
@@ -434,21 +528,23 @@ class TestWlbSample:
             )
 
     def test_one_minimization_per_draw(self, monkeypatch):
-        # Every draw call reports max_iters at a known iterate; the draw
-        # keeps that iterate and that flag, and no other call is made.
+        # Every draw row reports max_iters at a known iterate; the draw
+        # keeps that iterate and that flag, and no other row is minimized.
         rng = np.random.default_rng(19)
         data = toy_data(rng, n=40)
-        real = wlb_module.minimize
-        calls = []
+        real = wlb_module.minimize_block
+        calls = []  # one (x0, H0) per minimized row
 
-        def stub(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
-            x0 = np.asarray(x0, dtype=float)
-            calls.append((x0, H0))
-            if len(calls) == 1:  # the shared equal-weights start
-                return real(fg, x0, max_iters, grad_tol, H0)
-            return MinimizeResult(x0 + 0.25, 1.0, "max_iters", max_iters, 1.0)
+        def stub(fg, X0, max_iters=500, grad_tol=1e-6, H0=None):
+            X0 = np.asarray(X0, dtype=float)
+            first = not calls
+            calls.extend((x0, H0) for x0 in X0)
+            if first:  # the shared equal-weights start
+                return real(fg, X0, max_iters, grad_tol, H0)
+            return [MinimizeResult(x0 + 0.25, 1.0, "max_iters", max_iters, 1.0)
+                    for x0 in X0]
 
-        monkeypatch.setattr(wlb_module, "minimize", stub)
+        monkeypatch.setattr(wlb_module, "minimize_block", stub)
         fit = wlb_sample(
             LossSpec(kind="loglik"), data, Prior(), PROBIT,
             WlbConfig(n_draws=6, seed=4),
@@ -460,6 +556,36 @@ class TestWlbSample:
             assert H0 is not None
             want = unconstrained_to_theta(x0 + 0.25, data.p).as_vector()
             assert_allclose(theta.as_vector(), want, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec(kind="loglik"), LossSpec(kind="dp", tuning=0.5),
+        LossSpec(kind="gamma_general", tuning=0.5),
+        LossSpec(kind="gamma_synthetic", tuning=0.5),
+    ], ids=["loglik", "dp", "gamma_general", "gamma_synthetic"])
+    def test_block_size_does_not_change_draws(self, monkeypatch, spec):
+        # Draws are minimized in lock step, a block at a time; a draw's
+        # bits must not depend on the block it shares, whether that
+        # comes from the element budget or from the worker count.
+        data = toy_data(np.random.default_rng(23), n=30)
+        per_row = data.n * data.n_categories
+        config = WlbConfig(n_draws=23, seed=31)
+
+        def fit(budget, workers=1):
+            monkeypatch.setattr(wlb_module, "_BLOCK_ELEMENTS", budget)
+            return wlb_sample(spec, data, Prior(), PROBIT,
+                              replace(config, workers=workers))
+
+        whole = fit(23 * per_row)
+        assert wlb_module._block_size(
+            ObjectiveCore(spec, data, Prior(), PROBIT)) == 23
+        others = [fit(1), fit(7 * per_row)]
+        others += [fit(wlb_module._BLOCK_ELEMENTS, w) for w in (1, 2, 3)]
+        for other in others:
+            assert_allclose(other.matrix(only_ok=False),
+                            whole.matrix(only_ok=False), rtol=0, atol=0)
+            assert other.convergence_flags.tolist() == \
+                whole.convergence_flags.tolist()
+        assert multiprocessing.active_children() == []
 
     def test_failed_draws_excluded_from_matrix(self):
         draws = (
@@ -482,24 +608,25 @@ class TestWlbSample:
 
 
 def fails_on_wide_fits(real):
-    """minimize that fails every call on a 4-parameter problem."""
-    def stub(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.size == 4:
-            return MinimizeResult(x0, np.inf, "failed", 0, np.inf)
-        return real(fg, x0, max_iters, grad_tol, H0)
+    """minimize_block that fails every row of a 4-parameter problem."""
+    def stub(fg, X0, max_iters=500, grad_tol=1e-6, H0=None):
+        X0 = np.asarray(X0, dtype=float)
+        if X0.shape[1] == 4:
+            return [MinimizeResult(x0, np.inf, "failed", 0, np.inf)
+                    for x0 in X0]
+        return real(fg, X0, max_iters, grad_tol, H0)
     return stub
 
 
 def raises_in_wide_draws(real):
-    """minimize that raises in the draws of a 4-parameter problem.
+    """minimize_block that raises in the draws of a 4-parameter problem.
 
     Only draws pass H0, so the serial preparation still runs.
     """
-    def stub(fg, x0, max_iters=500, grad_tol=1e-6, H0=None):
-        if np.size(x0) == 4 and H0 is not None:
+    def stub(fg, X0, max_iters=500, grad_tol=1e-6, H0=None):
+        if np.shape(X0)[1] == 4 and H0 is not None:
             raise FloatingPointError("draw stub raised")
-        return real(fg, x0, max_iters, grad_tol, H0)
+        return real(fg, X0, max_iters, grad_tol, H0)
     return stub
 
 
@@ -570,26 +697,6 @@ def inline_pools(monkeypatch):
     return built
 
 
-@pytest.fixture
-def recorded_pools(monkeypatch):
-    """Every executor wlb builds: real pools that keep their futures."""
-    built = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.futures = []
-            built.append(self)
-
-        def submit(self, fn, *args):
-            fut = super().submit(fn, *args)
-            self.futures.append(fut)
-            return fut
-
-    monkeypatch.setattr(wlb_module, "ProcessPoolExecutor", RecordingPool)
-    return built
-
-
 class TestBatch:
     def test_one_executor_sized_by_workers_and_largest_fit(self, inline_pools):
         jobs = [
@@ -629,7 +736,8 @@ class TestBatch:
     @BATCH_STUBS
     def test_error_matches_single_fit(self, monkeypatch, recorded_pools,
                                       stub, error):
-        monkeypatch.setattr(wlb_module, "minimize", stub(wlb_module.minimize))
+        monkeypatch.setattr(wlb_module, "minimize_block",
+                            stub(wlb_module.minimize_block))
         jobs = batch_jobs([1, 2])
         spec, data, config = jobs[1]
         with pytest.raises(error) as alone:
@@ -646,7 +754,8 @@ class TestBatch:
     @BATCH_STUBS
     def test_error_cancels_pending_chunks(self, monkeypatch, inline_pools,
                                           stub, error):
-        monkeypatch.setattr(wlb_module, "minimize", stub(wlb_module.minimize))
+        monkeypatch.setattr(wlb_module, "minimize_block",
+                            stub(wlb_module.minimize_block))
         with pytest.raises(error):
             wlb_sample_batch(batch_jobs([1, 2, 1]), Prior(), PROBIT)
         (pool,) = inline_pools
