@@ -294,15 +294,20 @@ class TestMinimizeBlock:
             return F, G
         return fg
 
-    @pytest.mark.parametrize("max_iters, grad_tol", [(2000, 1e-9), (1, 1e-6),
-                                                     (3, 1e-12)])
-    def test_rows_match_lone_minimizations(self, max_iters, grad_tol):
+    @pytest.mark.parametrize("max_iters, grad_tol, H0", [
+        (2000, 1e-9, None), (1, 1e-6, None), (3, 1e-12, None),
+        # indefinite: the quadratic's first direction is uphill and
+        # resets to steepest descent, Rosenbrock's is not
+        (2000, 1e-9, np.diag([1.0, -1.0, 1.0])),
+    ], ids=["converge", "max_iters_1", "max_iters_3", "indefinite_H0"])
+    def test_rows_match_lone_minimizations(self, max_iters, grad_tol, H0):
         problems = contract_problems()
         X0 = np.array([x0 for _, x0 in problems])
-        block = minimize_block(self.block_fg(problems), X0, max_iters, grad_tol)
+        block = minimize_block(self.block_fg(problems), X0, max_iters,
+                               grad_tol, H0)
         statuses = []
         for (fg, x0), got in zip(problems, block):
-            alone = minimize(fg, x0, max_iters, grad_tol)
+            alone = minimize(fg, x0, max_iters, grad_tol, H0)
             assert got.status == alone.status
             assert_allclose(got.x, alone.x, rtol=0, atol=0)
             assert got.fun == alone.fun or (np.isnan(got.fun) and np.isnan(alone.fun))
@@ -312,7 +317,7 @@ class TestMinimizeBlock:
             statuses.append(got.status)
         # the block mixes exits: every row finishes on its own terms
         assert statuses[3] == "failed"
-        if max_iters == 2000:
+        if max_iters == 2000 and H0 is None:
             assert statuses[:3] == ["converged"] * 3
             assert statuses[5] == "converged"  # the approximate Wolfe step
         if max_iters == 1:
@@ -566,7 +571,10 @@ class TestWlbSample:
         # Draws are minimized in lock step, a block at a time; a draw's
         # bits must not depend on the block it shares, whether that
         # comes from the element budget or from the worker count.
-        data = toy_data(np.random.default_rng(23), n=30)
+        # p = 3, so eta and the gradient's X-products sum several terms
+        # per unit: a BLAS product across the rows could round them
+        # differently for different block sizes.
+        data = toy_data(np.random.default_rng(23), n=30, p=3)
         per_row = data.n * data.n_categories
         config = WlbConfig(n_draws=23, seed=31)
 
