@@ -2,20 +2,18 @@
 
 A link is the distribution G of the latent noise term: the model puts
 a latent z = x @ beta + eps with eps ~ G, and the observed category is
-determined by which cutpoint interval z falls in.  Each link exposes
-five vectorized callables:
+determined by which cutpoint interval z falls in.  Each link is one
+fused kernel and a quantile function:
 
-    cdf(t)         G(t)
-    pdf(t)         g(t) = G'(t)
-    sf(t)          1 - G(t), computed without cancellation in the tail
+    cdf_sf_pdf(t)  (G(t), 1 - G(t), g(t)) with g = G', the sf computed
+                   without cancellation in the tail
     quantile(q)    G^{-1}(q) for q in (0, 1)
-    cdf_sf_pdf(t)  the triple (cdf(t), sf(t), pdf(t)) from one pass
 
-cdf_sf_pdf is what the probability table calls; it computes the
-intermediates the three functions share once (exp(-t) for loglog,
-exp(t) for cloglog, and pdf = cdf * sf for logit) and returns the same
-values as the separate calls.  All callables are module-level
-functions, so a Link pickles into pool workers.
+The kernel computes the intermediates its parts share once (exp(-t)
+for loglog, exp(t) for cloglog, pdf = cdf * sf for logit).  A link's
+cdf, sf and pdf are its kernel's parts, not separate code.  All
+callables are module-level functions or partials of them, so a Link
+pickles into pool workers.
 
 All five families are standardized (no free location or scale); the
 model is identified by fixing the latent scale to 1 and omitting an
@@ -25,6 +23,7 @@ intercept, so links carry no parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,6 +45,19 @@ class Link:
     cdf_sf_pdf: Callable
 
 
+def _component(triple, k, t):
+    """Part k of triple(t): 0 the cdf, 1 the sf, 2 the pdf."""
+    return triple(t)[k]
+
+
+def _link(name: str, triple, quantile) -> Link:
+    """The Link of one fused kernel, with cdf, sf and pdf its parts."""
+    return Link(name, cdf=partial(_component, triple, 0),
+                pdf=partial(_component, triple, 2),
+                sf=partial(_component, triple, 1),
+                quantile=quantile, cdf_sf_pdf=triple)
+
+
 def _check_q(q):
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
@@ -53,46 +65,29 @@ def _check_q(q):
     return q
 
 
-def _probit_quantile(q):
-    return special.ndtri(_check_q(q))
-
-
-def _logit_quantile(q):
-    return special.logit(_check_q(q))
-
-
-def _probit_pdf(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * t * t) / _SQRT_2PI
-
-
-def _probit_sf(t):
-    # ndtr is relatively accurate in its lower tail; reflecting keeps
-    # the survival function accurate in the upper tail.
-    return special.ndtr(-np.asarray(t, dtype=float))
-
-
 def _probit_cdf_sf_pdf(t):
     t = np.asarray(t, dtype=float)
-    return special.ndtr(t), _probit_sf(t), _probit_pdf(t)
+    # ndtr is relatively accurate in its lower tail; reflecting keeps
+    # the survival function accurate in the upper tail.
+    return (special.ndtr(t), special.ndtr(-t),
+            np.exp(-0.5 * t * t) / _SQRT_2PI)
 
 
-def _logit_sf(t):
-    return special.expit(-np.asarray(t, dtype=float))
-
-
-def _logit_pdf(t):
-    t = np.asarray(t, dtype=float)
-    # expit(t) * expit(-t) stays finite for any t, unlike the
-    # exp(t) / (1 + exp(t))^2 form.
-    return special.expit(t) * special.expit(-t)
+def _probit_quantile(q):
+    return special.ndtri(_check_q(q))
 
 
 def _logit_cdf_sf_pdf(t):
     t = np.asarray(t, dtype=float)
     cdf = special.expit(t)
     sf = special.expit(-t)
+    # expit(t) * expit(-t) stays finite for any t, unlike the
+    # exp(t) / (1 + exp(t))^2 form.
     return cdf, sf, cdf * sf
+
+
+def _logit_quantile(q):
+    return special.logit(_check_q(q))
 
 
 def _capped_exp(s):
@@ -106,19 +101,6 @@ def _capped_exp(s):
         return np.minimum(np.exp(s), _MAX)
 
 
-def _loglog_cdf(t):
-    return np.exp(-_capped_exp(-np.asarray(t, dtype=float)))
-
-
-def _loglog_pdf(t):
-    e = _capped_exp(-np.asarray(t, dtype=float))
-    return e * np.exp(-e)
-
-
-def _loglog_sf(t):
-    return -np.expm1(-_capped_exp(-np.asarray(t, dtype=float)))
-
-
 def _loglog_cdf_sf_pdf(t):
     e = _capped_exp(-np.asarray(t, dtype=float))
     cdf = np.exp(-e)
@@ -127,19 +109,6 @@ def _loglog_cdf_sf_pdf(t):
 
 def _loglog_quantile(q):
     return -np.log(-np.log(_check_q(q)))
-
-
-def _cloglog_cdf(t):
-    return -np.expm1(-_capped_exp(np.asarray(t, dtype=float)))
-
-
-def _cloglog_pdf(t):
-    e = _capped_exp(np.asarray(t, dtype=float))
-    return e * np.exp(-e)
-
-
-def _cloglog_sf(t):
-    return np.exp(-_capped_exp(np.asarray(t, dtype=float)))
 
 
 def _cloglog_cdf_sf_pdf(t):
@@ -162,21 +131,13 @@ def _cauchit_cdf(t):
     return np.where(t < -1.0, tail, 0.5 + np.arctan(t) / np.pi)
 
 
-def _cauchit_pdf(t):
-    t = np.asarray(t, dtype=float)
-    # t * t overflows beyond |t| ~ 1e154, where the density is 0 anyway.
-    with np.errstate(over="ignore"):
-        return 1.0 / (np.pi * (1.0 + t * t))
-
-
-def _cauchit_sf(t):
-    # Symmetry of the Cauchy density.
-    return _cauchit_cdf(-np.asarray(t, dtype=float))
-
-
 def _cauchit_cdf_sf_pdf(t):
     t = np.asarray(t, dtype=float)
-    return _cauchit_cdf(t), _cauchit_sf(t), _cauchit_pdf(t)
+    # The sf follows from the symmetry of the density.  t * t overflows
+    # beyond |t| ~ 1e154, where the density is 0 anyway.
+    with np.errstate(over="ignore"):
+        pdf = 1.0 / (np.pi * (1.0 + t * t))
+    return _cauchit_cdf(t), _cauchit_cdf(-t), pdf
 
 
 def _cauchit_quantile(q):
@@ -184,16 +145,11 @@ def _cauchit_quantile(q):
 
 
 LINKS = {
-    "probit": Link("probit", special.ndtr, _probit_pdf, _probit_sf,
-                   _probit_quantile, _probit_cdf_sf_pdf),
-    "logit": Link("logit", special.expit, _logit_pdf, _logit_sf,
-                  _logit_quantile, _logit_cdf_sf_pdf),
-    "loglog": Link("loglog", _loglog_cdf, _loglog_pdf, _loglog_sf,
-                   _loglog_quantile, _loglog_cdf_sf_pdf),
-    "cloglog": Link("cloglog", _cloglog_cdf, _cloglog_pdf, _cloglog_sf,
-                    _cloglog_quantile, _cloglog_cdf_sf_pdf),
-    "cauchit": Link("cauchit", _cauchit_cdf, _cauchit_pdf, _cauchit_sf,
-                    _cauchit_quantile, _cauchit_cdf_sf_pdf),
+    "probit": _link("probit", _probit_cdf_sf_pdf, _probit_quantile),
+    "logit": _link("logit", _logit_cdf_sf_pdf, _logit_quantile),
+    "loglog": _link("loglog", _loglog_cdf_sf_pdf, _loglog_quantile),
+    "cloglog": _link("cloglog", _cloglog_cdf_sf_pdf, _cloglog_quantile),
+    "cauchit": _link("cauchit", _cauchit_cdf_sf_pdf, _cauchit_quantile),
 }
 
 

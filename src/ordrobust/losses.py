@@ -153,27 +153,37 @@ def _one_unit_loss(spec: LossSpec, theta: Theta, x, y: int, link: Link) -> float
 
 
 def _observed_index(data: Dataset) -> np.ndarray:
-    """Flat index of each unit's observed category in an (M, n) table."""
+    """Index c_i * n + i of each unit's observed category c_i (0-based).
+
+    It indexes a flattened (M, n) table, so one index serves every
+    table shape: _cells applies it to each row of a (B, M, n) block as
+    to a lone (M, n) table.
+    """
     return (data.y - 1) * data.n + np.arange(data.n)
+
+
+def _cells(T: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """T[..., index] with the last two axes (M, n) of T flattened."""
+    return T.reshape(T.shape[:-2] + (-1,)).take(index, axis=-1)
 
 
 def _unit_losses(spec: LossSpec, P: np.ndarray, obs):
     """Per-unit r of every kind: log f, r_DP, or r_g for both gamma kinds.
 
-    P is a category-major table (..., M, n) and obs the flat indices of
-    the observed categories in it, so f = P.take(obs).  The table is
-    raised to t once:
-    W = P^t gives f^t = W.take(obs) and S = sum_m P_m^{1+t} =
+    P is a category-major table (M, n), or a block (B, M, n) of them,
+    and obs the _observed_index of the units, the same for either
+    shape, so f = _cells(P, obs).  The table is raised to t once:
+    W = P^t gives f^t = _cells(W, obs) and S = sum_m P_m^{1+t} =
     sum_m W_m P_m.  Returns (r, f, W, S); W and S are None for loglik.
     The loss term of every kind but gamma_synthetic is -n sum_i s_i r_i.
     """
-    f = P.take(obs)
+    f = _cells(P, obs)
     if spec.kind == "loglik":
         return np.log(f), f, None, None
     t = spec.tuning
     W = P ** t
     S = (W * P).sum(axis=-2)
-    ft = W.take(obs)
+    ft = _cells(W, obs)
     if spec.kind == "dp":
         r = ft / t - S / (1.0 + t)
     else:
@@ -184,7 +194,7 @@ def _unit_losses(spec: LossSpec, P: np.ndarray, obs):
 def _loo_log_ratios(spec: LossSpec, P: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Leave-one-out log kernel ratio of every unit of the table P (M, n).
 
-    obs are the flat indices of the observed categories in P.  -r_i for
+    obs is the _observed_index of the units.  -r_i for
     the additive kinds.  For gamma_synthetic it is the difference of
     the two non-additive kernels, (n/g)(log(T - r_i) - log T) with
     T = sum_i r_i, which is non-finite where removing the unit leaves
@@ -257,10 +267,9 @@ class ObjectiveCore:
     value_and_grad is its one-row case and value the first element of
     that.  No product runs across the row axis (einsum, elementwise
     operations and reductions along a fixed axis only), so a row's bits
-    do not depend on which rows share its block.  The only state a
-    call changes is the cached gather indices of the largest block
-    seen; a call reads them as one tuple, so threads may share an
-    instance.
+    do not depend on which rows share its block.  The gather indices
+    are built once, in __init__, and serve every block size; a call
+    changes no state.
     """
 
     def __init__(self, spec: LossSpec, data: Dataset, prior: Prior, link: Link):
@@ -272,36 +281,17 @@ class ObjectiveCore:
         self.p = data.p
         self.M = data.n_categories
         self.n_params = self.p + self.M - 1
-        self._c = data.y - 1
+        self._c = c = data.y - 1
         self._XT = np.ascontiguousarray(data.X.T)
         self._prior_const, self._precision = _prior_constants(
             prior, self.p, self.M - 1)
-        self._gathers = (0, None, None, None, None)
-
-    def _gather_index(self, B: int):
-        """Flat gather and scatter indices of the first B rows of a block.
-
-        obs indexes each unit's observed category in the (B, M, n)
-        table; hi and lo its upper and lower cutpoint density in the
-        (B, K, n) density table with one 0 put in front, which stands in
-        for the unbounded end of the first and last category; bins is
-        the (row, category) bin of each unit for the per-row bincount.
-        Row b's indices do not depend on B, so the indices of the
-        largest block seen serve every smaller one.
-        """
-        rows, obs, hi, lo, bins = self._gathers
-        if B > rows:
-            n, M, c = self.n, self.M, self._c
-            K = M - 1
-            rows = B
-            b = np.arange(B)[:, None]
-            obs = b * (M * n) + c * n + np.arange(n)
-            at = 1 + b * (K * n) + c * n + np.arange(n)
-            hi = np.where(c < K, at, 0)
-            lo = np.where(c > 0, at - n, 0)
-            bins = (b * M + c).ravel()
-            self._gathers = (rows, obs, hi, lo, bins)
-        return obs[:B], hi[:B], lo[:B], bins[:B * self.n]
+        # Each row's density table (K, n), flattened with one 0 put in
+        # front: c_i * n + i + 1 is unit i's upper cutpoint density and
+        # n less its lower one; index 0 stands in for the unbounded end
+        # of the first and last category.
+        self._obs = _observed_index(data)
+        self._hi = np.where(c < self.M - 1, self._obs + 1, 0)
+        self._lo = np.where(c > 0, self._obs + 1 - self.n, 0)
 
     def _split(self, U: np.ndarray):
         """Decode the rows of U (B, d) without the strict-ordering check.
@@ -370,7 +360,6 @@ class ObjectiveCore:
         gaps, delta, eta = self._split(U)
         kind, t = self.spec.kind, self.spec.tuning
         K = self.M - 1
-        obs, hi, lo, bins = self._gather_index(B)
         if kind == "loglik":
             # log f needs only the two cutpoints of each unit's category.
             f, ghi, glo = _observed_cells(delta, eta, self._c, self.link)
@@ -378,9 +367,11 @@ class ObjectiveCore:
         else:
             P, gA = _probs_from_args(delta[:, :, None] - eta[:, None, :],
                                      self.link)
-            r, f, Wt, S = _unit_losses(self.spec, P, obs)
-            gpad = np.concatenate([[0.0], gA.ravel()])
-            ghi, glo = gpad.take(hi), gpad.take(lo)
+            r, f, Wt, S = _unit_losses(self.spec, P, self._obs)
+            gpad = np.concatenate([np.zeros((B, 1)), gA.reshape(B, -1)],
+                                  axis=1)
+            ghi = gpad.take(self._hi, axis=-1)
+            glo = gpad.take(self._lo, axis=-1)
         # d f_i / d eta_i; d f_i / d delta_j is +ghi at j = c_i and
         # -glo at j = c_i - 1, accumulated by _scatter_f below.
         deta_f = glo - ghi
@@ -391,7 +382,7 @@ class ObjectiveCore:
         if kind == "loglik":
             coef = -self.n * W / f
             gbeta = self._xt(coef * deta_f)
-            gdelta = self._scatter_f(coef, ghi, glo, bins)
+            gdelta = self._scatter_f(coef, ghi, glo)
         else:
             # V[k] = g(A_k) (W_k - W_{k+1}) with W = P^t gives both
             # sum_m W_m dP_m/d delta_k = V[k] and
@@ -399,12 +390,12 @@ class ObjectiveCore:
             V = gA * (Wt[:, :K] - Wt[:, 1:])
             Vsum = V.sum(axis=1)
             if kind == "dp":
-                ft1 = Wt.take(obs) / f
+                ft1 = _cells(Wt, self._obs) / f
                 # d r_i = f^{t-1} df - sum_m P^t dP_m
                 ceta = W * (ft1 * deta_f + Vsum)
                 gbeta = -self.n * self._xt(ceta)
                 gdelta = -self.n * (
-                    self._scatter_f(W * ft1, ghi, glo, bins) - _vdot(V, W)
+                    self._scatter_f(W * ft1, ghi, glo) - _vdot(V, W)
                 )
             else:
                 # r_i = f^t S^{-t/(1+t)} / t, so
@@ -412,7 +403,7 @@ class ObjectiveCore:
                 wtr = W * (t * r)
                 ceta = wtr * (deta_f / f + Vsum / S)
                 gbeta = -self._xt(ceta)
-                gdelta = -(self._scatter_f(wtr / f, ghi, glo, bins)
+                gdelta = -(self._scatter_f(wtr / f, ghi, glo)
                            - _vdot(V, wtr / S))
                 # The weighted sum T = sum_i w_i r_i enters the synthetic
                 # kind through -(n/t) log(t T), so its gradient is the
@@ -441,9 +432,11 @@ class ObjectiveCore:
         """C @ X row by row: (B, n) unit coefficients to (B, p)."""
         return np.einsum("ri,ji->rj", C, self._XT)
 
-    def _scatter_f(self, coef, ghi, glo, bins):
+    def _scatter_f(self, coef, ghi, glo):
         """sum_i coef_i * d f_i / d delta of every row, accumulated over units."""
         B, M = coef.shape[0], self.M
+        # Unit i of row b falls in the (row, category) bin b * M + c_i.
+        bins = (np.arange(B)[:, None] * M + self._c).ravel()
         up = np.bincount(bins, weights=(coef * ghi).ravel(), minlength=B * M)
         down = np.bincount(bins, weights=(coef * glo).ravel(), minlength=B * M)
         return up.reshape(B, M)[:, :-1] - down.reshape(B, M)[:, 1:]

@@ -71,6 +71,10 @@ _WOLFE_LOW = 0.9
 _WOLFE_HIGH = -0.8
 _MAX_BACKTRACKS = 60
 _CURVATURE_FLOOR = 1e-10
+# Every minimization of a fit stops at a gradient 2-norm of _GRAD_TOL,
+# or is flagged max_iters after _MAX_ITERS iterations.
+_MAX_ITERS = 500
+_GRAD_TOL = 1e-6
 # Element budget of one block pass: a chunk's draws are minimized
 # together in blocks of max(1, _BLOCK_ELEMENTS // (n * M)) rows.  Small
 # tables gain most, as each pass's fixed cost is shared by more rows.
@@ -92,19 +96,15 @@ class SamplingFailureError(RuntimeError):
 class WlbConfig:
     n_draws: int
     seed: int
-    max_iters: int = 500
-    grad_tol: float = 1e-6
     workers: int = 1
 
     def __post_init__(self):
         if self.n_draws < 1:
             raise ContractError("n_draws must be at least 1")
-        if not self.grad_tol > 0:
-            raise ContractError("grad_tol must be positive")
         if self.seed < 0:
             raise ContractError("seed must be a nonnegative integer")
-        if self.max_iters < 1 or self.workers < 1:
-            raise ContractError("max_iters >= 1, workers >= 1")
+        if self.workers < 1:
+            raise ContractError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def sample_dirichlet_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
+def minimize(fg, x0, max_iters: int = _MAX_ITERS, grad_tol: float = _GRAD_TOL,
              H0=None) -> MinimizeResult:
     """Dense BFGS on one problem: the one-row case of minimize_block.
 
@@ -182,8 +182,8 @@ def minimize(fg, x0, max_iters: int = 500, grad_tol: float = 1e-6,
     return minimize_block(one_row, x0[None], max_iters, grad_tol, H0)[0]
 
 
-def minimize_block(fg, X0, max_iters: int = 500, grad_tol: float = 1e-6,
-                   H0=None) -> list:
+def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
+                   grad_tol: float = _GRAD_TOL, H0=None) -> list:
     """Dense BFGS on B independent problems at once, one MinimizeResult each.
 
     Row b starts at X0[b] (X0 is (B, d)).  fg(X, rows) returns the pair
@@ -410,7 +410,7 @@ def _initial_point(data: Dataset, link: Link) -> np.ndarray:
     return theta_to_unconstrained(theta0)
 
 
-def _pilot_init(data: Dataset, prior: Prior, link: Link, config: WlbConfig,
+def _pilot_init(data: Dataset, prior: Prior, link: Link,
                 x_base: np.ndarray) -> np.ndarray:
     """Starting point for the per-draw minimizations.
 
@@ -450,14 +450,13 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link, config: WlbConfig,
         return x_base
     core = ObjectiveCore(LossSpec(kind="loglik"), sub, prior, link)
     res = minimize(_weighted(core, np.full(sub.n, 1.0 / sub.n)),
-                   _initial_point(sub, link),
-                   config.max_iters, config.grad_tol)
+                   _initial_point(sub, link))
     if res.status == "failed" or not np.all(np.isfinite(res.x)):
         return x_base
     return res.x
 
 
-def _shared_start(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray):
+def _shared_start(core: ObjectiveCore, x_init: np.ndarray):
     """Start point and inverse Hessian shared by every draw.
 
     The equal-weights optimum of the sampled objective, fitted from
@@ -466,8 +465,7 @@ def _shared_start(core: ObjectiveCore, config: WlbConfig, x_init: np.ndarray):
     starts one Newton step from its own optimum.  A fit that does not
     converge falls back to x_init and the identity.
     """
-    res = minimize(_weighted(core, np.full(core.n, 1.0 / core.n)), x_init,
-                   config.max_iters, config.grad_tol)
+    res = minimize(_weighted(core, np.full(core.n, 1.0 / core.n)), x_init)
     if res.status != "converged":
         return x_init, None
     return res.x, res.inv_hessian
@@ -479,7 +477,7 @@ def _block_size(core: ObjectiveCore) -> int:
 
 
 def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
-               H0, b_range, equal_weights: bool):
+               H0, b_range):
     """(x, status) of one minimization per draw index in b_range.
 
     Draw b minimizes the objective under the weights of stream
@@ -488,29 +486,23 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
     on one objective pass per round; a draw's result does not depend on
     the block it shares.
     """
-    n = core.n
-    if equal_weights:
-        W = np.full((len(b_range), n), 1.0 / n)
-    else:
-        W = np.array([
-            sample_dirichlet_uniform(n, np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
-            for b in b_range
-        ])
+    W = np.array([
+        sample_dirichlet_uniform(core.n, np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
+        for b in b_range
+    ])
     size = _block_size(core)
     out = []
     for lo in range(0, len(W), size):
         Wb = W[lo:lo + size]
         results = minimize_block(
             lambda X, rows, Wb=Wb: core.block_value_and_grad(X, Wb[rows]),
-            np.broadcast_to(x_start, (len(Wb), x_start.size)),
-            config.max_iters, config.grad_tol, H0=H0)
+            np.broadcast_to(x_start, (len(Wb), x_start.size)), H0=H0)
         out.extend((res.x, res.status) for res in results)
     return out
 
 
-def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
-             config: WlbConfig):
+def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link):
     """Serial part of one fit: its objective and the shared start."""
     observed = np.unique(data.y)
     missing = sorted(set(range(1, data.n_categories + 1)) - set(observed.tolist()))
@@ -527,8 +519,8 @@ def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
         # Redescending losses need a robust starting point; the plain
         # likelihood has no redescending structure and keeps the
         # classical empirical initialization.
-        x_init = _pilot_init(data, prior, link, config, x_init)
-    x_start, H0 = _shared_start(core, config, x_init)
+        x_init = _pilot_init(data, prior, link, x_init)
+    x_start, H0 = _shared_start(core, x_init)
     return core, x_start, H0
 
 
@@ -561,8 +553,7 @@ def _assemble(job, link: Link, parts) -> PosteriorDraws:
     )
 
 
-def wlb_sample_batch(jobs, prior: Prior, link: Link,
-                     _equal_weights: bool = False) -> list:
+def wlb_sample_batch(jobs, prior: Prior, link: Link) -> list:
     """Run several WLB fits, each given as (spec, data, config), on one pool.
 
     Every fit's serial part (pilot fit and shared start) runs first, in
@@ -583,10 +574,10 @@ def wlb_sample_batch(jobs, prior: Prior, link: Link,
         return []
     calls = []  # per job, the _run_draws arguments of each chunk
     for spec, data, config in jobs:
-        core, x_start, H0 = _prepare(spec, data, prior, link, config)
+        core, x_start, H0 = _prepare(spec, data, prior, link)
         B = config.n_draws
         bounds = np.linspace(0, B, min(config.workers, B) + 1).astype(int)
-        calls.append([(core, config, x_start, H0, range(lo, hi), _equal_weights)
+        calls.append([(core, config, x_start, H0, range(lo, hi))
                       for lo, hi in zip(bounds, bounds[1:])])
     n_procs = min(max(config.workers for _, _, config in jobs),
                   max(config.n_draws for _, _, config in jobs))
@@ -605,15 +596,13 @@ def wlb_sample_batch(jobs, prior: Prior, link: Link,
 
 
 def wlb_sample(spec: LossSpec, data: Dataset, prior: Prior, link: Link,
-               config: WlbConfig, _equal_weights: bool = False) -> PosteriorDraws:
+               config: WlbConfig) -> PosteriorDraws:
     """Draw B approximate posterior samples by weighted minimization.
 
     Draw b is the argmin under the Dirichlet weights of stream
     (seed, b), started at the shared equal-weights optimum (see
     _shared_start); failures are flagged per draw, and more than 10%
-    failed draws abort the run.  _equal_weights freezes every weight
-    vector at 1/n (a testing hook: all draws then equal the penalized
-    MLE).  This is the one-fit case of wlb_sample_batch.
+    failed draws abort the run.  This is the one-fit case of
+    wlb_sample_batch.
     """
-    return wlb_sample_batch([(spec, data, config)], prior, link,
-                            _equal_weights)[0]
+    return wlb_sample_batch([(spec, data, config)], prior, link)[0]

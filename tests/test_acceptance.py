@@ -27,18 +27,21 @@ from ordrobust import (
     category_probs,
     fisher_rao_index,
     get_link,
+    minimize,
     posterior_robustness_sweep,
     robustness_report,
     score_estimates,
     simulate_contaminated,
     simulate_grid,
     summarize,
+    unconstrained_to_theta,
     unit_dp_loss,
     unit_gamma_loss,
     weighted_objective,
     weighted_objective_gradient,
     wlb_sample,
 )
+import ordrobust.wlb as wlb_module
 
 import oracles
 
@@ -463,11 +466,11 @@ def test_criterion_10_oracle_equivalences(criterion_recorder):
     z = 1.1 * xcol + rng2.normal(0, 1, n)
     yb = 1 + (z > 0.3).astype(int)
     data2 = Dataset(y=yb, X=xcol[:, None], n_categories=2)
-    fit = wlb_sample(
-        LossSpec(kind="loglik"), data2, PRIOR, PROBIT,
-        WlbConfig(n_draws=1, seed=5, grad_tol=1e-9), _equal_weights=True,
-    )
-    got2 = fit.matrix()[0]
+    core2 = ObjectiveCore(LossSpec(kind="loglik"), data2, PRIOR, PROBIT)
+    res = minimize(
+        lambda u: core2.value_and_grad(u, np.full(data2.n, 1.0 / data2.n)),
+        wlb_module._initial_point(data2, PROBIT), 500, 1e-9)
+    got2 = unconstrained_to_theta(res.x, data2.p).as_vector()
     coarse = np.arange(-3.0, 3.0, 0.01)
     rough = oracles.grid_search_two_param(data2.X, data2.y, coarse, coarse, 10.0)
     fine_b = np.arange(rough[0] - 0.02, rough[0] + 0.02, 1e-3)

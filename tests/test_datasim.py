@@ -8,20 +8,22 @@ from ordrobust import (
     ContractError,
     Dataset,
     LossSpec,
+    ObjectiveCore,
     PreprocessError,
     PreprocessSpec,
     Prior,
     Theta,
-    WlbConfig,
     generalized_residuals,
     get_link,
     inject_outlier,
     likert_sigma,
     load_csv,
+    minimize,
     simulate_contaminated,
     simulate_grid,
-    wlb_sample,
+    unconstrained_to_theta,
 )
+import ordrobust.wlb as wlb_module
 
 import oracles
 
@@ -394,11 +396,11 @@ class TestInjectOutlier:
         # fit once on clean data, then drag one unit: its generalized
         # residual must move monotonically in the drag direction
         data = simulate_grid(seed=9)
-        fit = wlb_sample(
-            LossSpec(kind="loglik"), data, Prior(), PROBIT,
-            WlbConfig(n_draws=1, seed=30), _equal_weights=True,
-        )
-        theta_hat = fit.draws[0]
+        core = ObjectiveCore(LossSpec(kind="loglik"), data, Prior(), PROBIT)
+        res = minimize(
+            lambda u: core.value_and_grad(u, np.full(data.n, 1.0 / data.n)),
+            wlb_module._initial_point(data, PROBIT), 500, 1e-6)
+        theta_hat = unconstrained_to_theta(res.x, data.p)
         unit = 100
         values = []
         for omega in (0.0, 5.0, 10.0):

@@ -137,8 +137,8 @@ def test_links_pickle(name):
     link = get_link(name)
     clone = pickle.loads(pickle.dumps(link))
     t = np.linspace(-2, 2, 9)
-    assert_allclose(clone.cdf(t), link.cdf(t), rtol=0, atol=0)
-    for got, want in zip(clone.cdf_sf_pdf(t), link.cdf_sf_pdf(t)):
+    for f in ("cdf", "sf", "pdf", "cdf_sf_pdf"):
+        got, want = getattr(clone, f)(t), getattr(link, f)(t)
         assert_allclose(got, want, rtol=0, atol=0)
 
 
@@ -156,13 +156,14 @@ def test_fused_triple_matches_separate_calls(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cdf, sf, pdf = link.cdf_sf_pdf(TRIPLE_GRID)
-        separate = (link.cdf(TRIPLE_GRID), link.sf(TRIPLE_GRID),
-                    link.pdf(TRIPLE_GRID))
-    # The triple evaluates the same expressions, so the bits agree.
-    for got, want in zip((cdf, sf, pdf), separate):
-        assert got.shape == TRIPLE_GRID.shape
-        np.testing.assert_array_equal(got, want)
+    for part in (cdf, sf, pdf):
+        assert part.shape == TRIPLE_GRID.shape
+        assert np.all(np.isfinite(part))
     assert np.all(pdf[7:9] == 0.0)
     assert cdf[8] == 0.0 and cdf[7] == 1.0
     assert sf[7] == 0.0 and sf[8] == 1.0
-
+    # The Link's cdf, sf and pdf fields (declared in the order cdf, pdf,
+    # sf) are the triple's parts 0, 1 and 2.
+    for got, want in zip((link.cdf(TRIPLE_GRID), link.sf(TRIPLE_GRID),
+                          link.pdf(TRIPLE_GRID)), (cdf, sf, pdf)):
+        np.testing.assert_array_equal(got, want)

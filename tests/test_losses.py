@@ -384,6 +384,38 @@ class TestWeightedObjective:
         with pytest.raises(ContractError, match="block"):
             core.block_value_and_grad(u, W[:1])
 
+    @pytest.mark.parametrize("kind", ("loglik",) + ROBUST_KINDS)
+    def test_calls_change_no_state(self, kind):
+        # blocks of 7, 3 and 11 rows on one core: no attribute is added,
+        # rebound or written, and each row equals a fresh core's one-row
+        # pass bit for bit
+        rng = np.random.default_rng(39)
+        M = 4
+        X = rng.uniform(-1, 1, size=(9, 2))
+        y = np.concatenate([np.arange(1, M + 1), rng.integers(1, M + 1, 5)])
+        data = Dataset(y=y, X=X, n_categories=M)
+        spec = LossSpec(kind=kind, tuning=0.0 if kind == "loglik" else 0.4)
+        core = ObjectiveCore(spec, data, Prior(), PROBIT)
+        before = {k: (v, v.copy() if isinstance(v, np.ndarray) else None)
+                  for k, v in vars(core).items()}
+        u = np.array([0.3, -0.2, -0.8, -0.1, 0.2])
+        for B in (7, 3, 11):
+            U = u + rng.normal(0, 0.1, size=(B, u.size))
+            W = rng.standard_exponential((B, data.n))
+            W /= W.sum(axis=1, keepdims=True)
+            values, grads = core.block_value_and_grad(U, W)
+            for b in range(B):
+                fresh = ObjectiveCore(spec, data, Prior(), PROBIT)
+                v1, g1 = fresh.value_and_grad(U[b], W[b])
+                assert v1 == values[b]
+                assert_allclose(g1, grads[b], rtol=0, atol=0)
+        after = vars(core)
+        assert after.keys() == before.keys()
+        for k, (v, copy) in before.items():
+            assert after[k] is v
+            if copy is not None:
+                np.testing.assert_array_equal(v, copy)
+
     def test_gamma_synthetic_degenerate(self):
         # every unit's observed probability at the floor and a tuning
         # large enough that f**tuning underflows: the weighted loss sum
