@@ -194,12 +194,18 @@ def _config_dict(args, workers: int) -> dict:
     return cfg
 
 
-def _add_common(sub):
+def _add_data(sub):
+    """The input flags of the three data subcommands, then _add_common's."""
     sub.add_argument("--data", required=True, help="input CSV with header row")
     sub.add_argument("--preprocess", required=True,
                      help="JSON preprocessing spec: {response, edges?, columns?}")
     sub.add_argument("--link", default="probit",
                      choices=sorted(LINKS))
+    _add_common(sub)
+
+
+def _add_common(sub):
+    """The sampling and output flags every subcommand takes."""
     sub.add_argument("--draws", type=int, default=500, help="posterior draws B")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--prior-sd", type=float, default=10.0,
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p_fit = subs.add_parser("fit", help="sample one posterior and summarize it")
-    _add_common(p_fit)
+    _add_data(p_fit)
     p_fit.add_argument("--loss", required=True, choices=sorted(_CLI_LOSS))
     p_fit.add_argument("--tuning", type=float, default=None,
                        help="alpha or gamma for the robust losses")
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_res = subs.add_parser("residuals",
                             help="generalized residuals with empirical bands")
-    _add_common(p_res)
+    _add_data(p_res)
     p_res.add_argument("--loss", default="loglik", choices=sorted(_CLI_LOSS))
     p_res.add_argument("--tuning", type=float, default=None)
     p_res.add_argument("--from-summary", default=None,
@@ -250,17 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--link", default=None,
                        choices=sorted(LINKS),
                        help="defaults to the link matching --error")
-    p_sim.add_argument("--draws", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--prior-sd", type=float, default=10.0)
+    _add_common(p_sim)
     p_sim.add_argument("--level", type=float, default=0.95)
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out-dir", default=".")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rob = subs.add_parser("robustness",
                             help="per-unit index table or omega sweep")
-    _add_common(p_rob)
+    _add_data(p_rob)
     p_rob.add_argument("--mode", required=True, choices=["index", "sweep"])
     p_rob.add_argument("--losses", default="loglik,dp,gamma-gen")
     p_rob.add_argument("--tunings", default="0.5")

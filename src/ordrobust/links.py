@@ -68,9 +68,11 @@ def _check_q(q):
 def _probit_cdf_sf_pdf(t):
     t = np.asarray(t, dtype=float)
     # ndtr is relatively accurate in its lower tail; reflecting keeps
-    # the survival function accurate in the upper tail.
-    return (special.ndtr(t), special.ndtr(-t),
-            np.exp(-0.5 * t * t) / _SQRT_2PI)
+    # the survival function accurate in the upper tail.  t * t
+    # overflows beyond |t| ~ 1e154, where the density is 0 anyway.
+    with np.errstate(over="ignore"):
+        pdf = np.exp(-0.5 * t * t) / _SQRT_2PI
+    return special.ndtr(t), special.ndtr(-t), pdf
 
 
 def _probit_quantile(q):

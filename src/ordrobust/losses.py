@@ -29,12 +29,17 @@ Gradients are computed analytically in the unconstrained coordinates
 normals on those same coordinates, so every objective is smooth and
 unconstrained.
 
+Every kind's per-unit loss has a derivative of one form,
+d r_i = (a_i / f_i) d f_i - b_i sum_m P_m^t d P_m, with a = 1, b = 0
+(loglik), a = f^t, b = 1 (dp) and a = t r_i, b = t r_i / S_i (both
+gamma kinds), S = sum_m P_m^{1+t}.  Each loss term is a function of
+T = sum_i s_i r_i, so one backward pass serves every kind.
+
 One objective pass evaluates the link once per table element.  The
-robust kinds raise the category-major table P to t once, W = P^t, and
-read f^t, f^(t-1) = f^t / f and sum_m P_m^{1+t} = sum_m W_m P_m from
-it; W also carries the gradient.  loglik needs only f and the two
-bounding densities of each unit's category, so it evaluates the link
-at those two cutpoints alone, with the same bits as the full table.
+robust kinds raise the category-major table P to t once and read f^t
+and S from it.  loglik needs only f and the two bounding densities of
+each unit's category, so it evaluates the link at those two cutpoints
+alone, with the same bits as the full table.
 """
 
 from __future__ import annotations
@@ -146,10 +151,11 @@ def unit_gamma_loss(theta: Theta, x, y: int, gamma: float, link: Link) -> float:
 
 def _one_unit_loss(spec: LossSpec, theta: Theta, x, y: int, link: Link) -> float:
     """r of one unit with covariates x and observed category y."""
-    P = category_probs(theta, x, link)
+    P = category_probs(theta, x, link)[:, None]
     if not 1 <= y <= P.size:
         raise ContractError(f"category {y} outside 1..{P.size}")
-    return float(_unit_losses(spec, P[:, None], np.array([y - 1]))[0][0])
+    obs = np.array([y - 1])
+    return float(_unit_losses(spec, _cells(P, obs), P, obs)[0][0])
 
 
 def _observed_index(data: Dataset) -> np.ndarray:
@@ -167,28 +173,28 @@ def _cells(T: np.ndarray, index: np.ndarray) -> np.ndarray:
     return T.reshape(T.shape[:-2] + (-1,)).take(index, axis=-1)
 
 
-def _unit_losses(spec: LossSpec, P: np.ndarray, obs):
-    """Per-unit r of every kind: log f, r_DP, or r_g for both gamma kinds.
+def _unit_losses(spec: LossSpec, f: np.ndarray, P, obs):
+    """Per-unit r of every kind with its derivative coefficients a and b.
 
     P is a category-major table (M, n), or a block (B, M, n) of them,
-    and obs the _observed_index of the units, the same for either
-    shape, so f = _cells(P, obs).  The table is raised to t once:
-    W = P^t gives f^t = _cells(W, obs) and S = sum_m P_m^{1+t} =
-    sum_m W_m P_m.  Returns (r, f, W, S); W and S are None for loglik.
-    The loss term of every kind but gamma_synthetic is -n sum_i s_i r_i.
+    obs the _observed_index of the units, the same for either shape,
+    and f = _cells(P, obs).  Returns (r, a, b, Pt), Pt = P^t, with
+    d r_i = (a_i / f_i) d f_i - b_i sum_m Pt_m d P_m.  loglik reads f
+    alone (P and obs may be None) and returns Pt None.  The robust
+    kinds raise the table to t once: f^t = _cells(Pt, obs) and
+    S = sum_m P_m^{1+t} = sum_m Pt_m P_m.
     """
-    f = _cells(P, obs)
     if spec.kind == "loglik":
-        return np.log(f), f, None, None
+        return np.log(f), 1.0, 0.0, None
     t = spec.tuning
-    W = P ** t
-    S = (W * P).sum(axis=-2)
-    ft = _cells(W, obs)
+    Pt = P ** t
+    S = (Pt * P).sum(axis=-2)
+    ft = _cells(Pt, obs)
     if spec.kind == "dp":
-        r = ft / t - S / (1.0 + t)
-    else:
-        r = ft * S ** (-t / (1.0 + t)) / t
-    return r, f, W, S
+        return ft / t - S / (1.0 + t), ft, 1.0, Pt
+    r = ft * S ** (-t / (1.0 + t)) / t
+    tr = t * r
+    return r, tr, tr / S, Pt
 
 
 def _loo_log_ratios(spec: LossSpec, P: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -200,7 +206,7 @@ def _loo_log_ratios(spec: LossSpec, P: np.ndarray, obs: np.ndarray) -> np.ndarra
     T = sum_i r_i, which is non-finite where removing the unit leaves
     no positive loss sum.
     """
-    r = _unit_losses(spec, P, obs)[0]
+    r = _unit_losses(spec, _cells(P, obs), P, obs)[0]
     if spec.kind != "gamma_synthetic":
         return -r
     n, t = r.size, spec.tuning
@@ -265,10 +271,13 @@ class ObjectiveCore:
     pass: it evaluates B independent rows, parameter vector U[b] under
     weights W[b], and is what wlb.minimize_block calls per round.
     value_and_grad is its one-row case and value the first element of
-    that.  No product runs across the row axis (einsum, elementwise
-    operations and reductions along a fixed axis only), so a row's bits
-    do not depend on which rows share its block.  The gather indices
-    are built once, in __init__, and serve every block size; a call
+    that.  The kinds differ in the forward table (two cutpoints for
+    loglik, every cutpoint otherwise), in _unit_losses' r, a and b,
+    and in _loss_term's dL/dT; the backward path is shared.  No
+    product runs across the row axis (einsum, elementwise operations
+    and reductions along a fixed axis only), so a row's bits do not
+    depend on which rows share its block.  The gather indices are
+    built once, in __init__, and serve every block size; a call
     changes no state.
     """
 
@@ -312,8 +321,14 @@ class ObjectiveCore:
         delta[:, 1:] = U[:, p:p + 1] + np.cumsum(gaps, axis=1)
         return gaps, delta, np.einsum("ji,rj->ri", self._XT, U[:, :p])
 
-    def _loss_term(self, r: np.ndarray, W: np.ndarray) -> np.ndarray:
+    def _loss_term(self, r: np.ndarray, W: np.ndarray):
+        """Loss term L (B,) and dL/dT, a scalar or a (B, 1) column.
+
+        L is learning_rate times -n T, or -(n/g) log(g T) for
+        gamma_synthetic, with T = sum_i W_i r_i.
+        """
         T = _rowdot(W, r)
+        lr = self.spec.learning_rate
         if self.spec.kind == "gamma_synthetic":
             g = self.spec.tuning
             if not (np.isfinite(T) & (T > 0.0)).all():
@@ -321,8 +336,9 @@ class ObjectiveCore:
                     "weighted gamma loss sum is not positive; all category "
                     "probabilities vanished"
                 )
-            return -(self.n / g) * np.log(g * T)
-        return -self.n * T
+            return (lr * (-(self.n / g) * np.log(g * T)),
+                    (-lr * self.n / (g * T))[:, None])
+        return lr * (-self.n * T), -self.n * lr
 
     def value(self, u, weights, validate_weights: bool = True) -> float:
         return self.value_and_grad(u, weights, validate_weights)[0]
@@ -358,73 +374,48 @@ class ObjectiveCore:
                 f"of shape (B, {self.n}), got {U.shape} and {W.shape}"
             )
         gaps, delta, eta = self._split(U)
-        kind, t = self.spec.kind, self.spec.tuning
         K = self.M - 1
-        if kind == "loglik":
+        if self.spec.kind == "loglik":
             # log f needs only the two cutpoints of each unit's category.
             f, ghi, glo = _observed_cells(delta, eta, self._c, self.link)
-            r = np.log(f)
+            P = gA = None
         else:
             P, gA = _probs_from_args(delta[:, :, None] - eta[:, None, :],
                                      self.link)
-            r, f, Wt, S = _unit_losses(self.spec, P, self._obs)
+            f = _cells(P, self._obs)
             gpad = np.concatenate([np.zeros((B, 1)), gA.reshape(B, -1)],
                                   axis=1)
             ghi = gpad.take(self._hi, axis=-1)
             glo = gpad.take(self._lo, axis=-1)
-        # d f_i / d eta_i; d f_i / d delta_j is +ghi at j = c_i and
-        # -glo at j = c_i - 1, accumulated by _scatter_f below.
-        deta_f = glo - ghi
-
+        r, a, b, Pt = _unit_losses(self.spec, f, P, self._obs)
+        loss, dL = self._loss_term(r, W)
         lp, lp_grad = _log_prior_parts(U, self._prior_const, self._precision)
-        value = self.spec.learning_rate * self._loss_term(r, W) - lp
+        value = loss - lp
 
-        if kind == "loglik":
-            coef = -self.n * W / f
-            gbeta = self._xt(coef * deta_f)
-            gdelta = self._scatter_f(coef, ghi, glo)
-        else:
-            # V[k] = g(A_k) (W_k - W_{k+1}) with W = P^t gives both
-            # sum_m W_m dP_m/d delta_k = V[k] and
-            # sum_m W_m dP_m/d eta = -(sum over k of V[k]).
-            V = gA * (Wt[:, :K] - Wt[:, 1:])
-            Vsum = V.sum(axis=1)
-            if kind == "dp":
-                ft1 = _cells(Wt, self._obs) / f
-                # d r_i = f^{t-1} df - sum_m P^t dP_m
-                ceta = W * (ft1 * deta_f + Vsum)
-                gbeta = -self.n * self._xt(ceta)
-                gdelta = -self.n * (
-                    self._scatter_f(W * ft1, ghi, glo) - _vdot(V, W)
-                )
-            else:
-                # r_i = f^t S^{-t/(1+t)} / t, so
-                # d r_i = t r_i [df / f - (1/S) sum_m P^t dP_m].
-                wtr = W * (t * r)
-                ceta = wtr * (deta_f / f + Vsum / S)
-                gbeta = -self._xt(ceta)
-                gdelta = -(self._scatter_f(wtr / f, ghi, glo)
-                           - _vdot(V, wtr / S))
-                # The weighted sum T = sum_i w_i r_i enters the synthetic
-                # kind through -(n/t) log(t T), so its gradient is the
-                # additive one rescaled by n/(t T); the general kind is
-                # plain -n T.
-                if kind == "gamma_synthetic":
-                    scale = (self.n / (t * _rowdot(W, r)))[:, None]
-                else:
-                    scale = float(self.n)
-                gbeta = scale * gbeta
-                gdelta = scale * gdelta
+        # The gradient of the loss term is sum_i W_i dL d r_i.  d f_i /
+        # d eta_i = glo - ghi; d f_i / d delta_j is +ghi at j = c_i and
+        # -glo at j = c_i - 1, accumulated by _scatter_f.  For loglik
+        # dL * a is a scalar, so ca costs no multiply by a = 1.
+        ca = W * (dL * a) / f
+        ceta = ca * (glo - ghi)
+        gdelta = self._scatter_f(ca, ghi, glo)
+        if Pt is not None:
+            # b is not 0.  V[k] = g(A_k) (Pt_k - Pt_{k+1}) gives both
+            # sum_m Pt_m dP_m/d delta_k = V[k] and
+            # sum_m Pt_m dP_m/d eta = -(sum over k of V[k]).
+            V = gA * (Pt[:, :K] - Pt[:, 1:])
+            cb = W * (dL * b)
+            ceta += cb * V.sum(axis=1)
+            gdelta -= _vdot(V, cb)
 
         grad = np.empty((B, self.n_params))
-        grad[:, :self.p] = gbeta
+        grad[:, :self.p] = self._xt(ceta)
         # Chain through delta_1 = u[p], delta_{k+1} = delta_k + exp(u[p+k]):
         # each gap coordinate collects the gradient of every later cutpoint.
         tail = np.cumsum(gdelta[:, ::-1], axis=1)[:, ::-1]
         grad[:, self.p] = tail[:, 0]
         if K > 1:
             grad[:, self.p + 1:] = gaps * tail[:, 1:]
-        grad *= self.spec.learning_rate
         grad -= lp_grad
         return value, grad
 

@@ -238,6 +238,14 @@ class TestWorkersEnv:
         manifest = json.loads((out_par / "manifest.json").read_text())
         assert manifest["config"]["workers"] == 2
 
+    @pytest.mark.parametrize(
+        "sub", ["fit", "residuals", "simulate", "robustness"])
+    def test_help_names_env_override(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        assert "ORDROBUST_WORKERS" in capsys.readouterr().out
+
 
 class TestResiduals:
     def test_inline_fit_bands_nested(self, tmp_path):

@@ -143,9 +143,11 @@ def test_links_pickle(name):
 
 
 # Zero, the unit points, tails where exp(-+t) under- or overflows, the
-# infinities, and a dense stretch in between.
+# infinities, finite points where t * t overflows, and a dense stretch
+# in between.
 TRIPLE_GRID = np.concatenate([
-    [0.0, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf],
+    [0.0, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf,
+     1e200, -1e200],
     np.linspace(-12.0, 12.0, 961),
 ])
 
@@ -159,7 +161,7 @@ def test_fused_triple_matches_separate_calls(name):
     for part in (cdf, sf, pdf):
         assert part.shape == TRIPLE_GRID.shape
         assert np.all(np.isfinite(part))
-    assert np.all(pdf[7:9] == 0.0)
+    assert np.all(pdf[7:9] == 0.0) and np.all(pdf[9:11] == 0.0)
     assert cdf[8] == 0.0 and cdf[7] == 1.0
     assert sf[7] == 0.0 and sf[8] == 1.0
     # The Link's cdf, sf and pdf fields (declared in the order cdf, pdf,

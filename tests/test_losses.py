@@ -338,10 +338,10 @@ class TestWeightedObjective:
     def test_block_pass_matches_oracle(self, name):
         # one block of six rows, each with its own parameters and
         # weights, every kind; floored units keep f at the floor in
-        # every row
+        # every row; learning rate 2 on loglik and gamma_synthetic
         link = get_link(name)
         rng = np.random.default_rng(37)
-        for kind in ("loglik",) + ROBUST_KINDS:
+        for kind, lr in zip(("loglik",) + ROBUST_KINDS, (2.0, 1.0, 2.0, 1.0)):
             data, u = self.floored_instance(rng, name)
             B = 6
             U = u + rng.normal(0, 0.05, size=(B, u.size))
@@ -350,7 +350,8 @@ class TestWeightedObjective:
             W = rng.standard_exponential((B, data.n))
             W /= W.sum(axis=1, keepdims=True)
             t = float(rng.uniform(0.2, 1.2))
-            spec = LossSpec(kind=kind, tuning=0.0 if kind == "loglik" else t)
+            spec = LossSpec(kind=kind, tuning=0.0 if kind == "loglik" else t,
+                            learning_rate=lr)
             core = ObjectiveCore(spec, data, Prior(), link)
             values, grads = core.block_value_and_grad(U, W)
             assert values.shape == (B,) and grads.shape == (B, u.size)
@@ -362,7 +363,7 @@ class TestWeightedObjective:
 
                 def oracle(v, b=b):
                     return oracles.direct_weighted_objective(
-                        kind, spec.tuning, 1.0, v, data.X, data.y, W[b],
+                        kind, spec.tuning, lr, v, data.X, data.y, W[b],
                         10.0, 10.0, link)
 
                 assert_allclose(values[b], oracle(U[b]), rtol=1e-12, atol=1e-12)
