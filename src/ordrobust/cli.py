@@ -294,11 +294,8 @@ def cmd_fit(args) -> None:
     )
     if args.emit_draws:
         header = ["draw", "status"] + list(draws.param_names)
-        rows = []
-        for b, (theta, flag) in enumerate(
-            zip(draws.draws, draws.convergence_flags)
-        ):
-            rows.append([b, str(flag)] + list(theta.as_vector()))
+        rows = [[b, str(flag)] + list(v) for b, (v, flag) in enumerate(
+            zip(draws.values, draws.convergence_flags))]
         _write_csv(os.path.join(args.out_dir, "draws.csv"), header, rows)
     _write_manifest(
         args.out_dir, "fit", _config_dict(args, workers), args.seed,

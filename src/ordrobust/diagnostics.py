@@ -30,6 +30,7 @@ from scipy.special import logsumexp
 from .datasim import inject_outlier
 from .links import Link
 from .losses import (
+    DegenerateObjectiveError,
     LossSpec,
     Prior,
     _loo_log_ratios,
@@ -135,12 +136,7 @@ def summarize(draws: PosteriorDraws, level: float = 0.95) -> SummaryTable:
     """
     if not 0.0 < level < 1.0:
         raise ContractError("level must be in (0, 1)")
-    mat = draws.matrix(only_ok=True)
-    if mat.shape[0] < 2:
-        raise ContractError(
-            f"need at least 2 usable draws, have {mat.shape[0]} "
-            f"({draws.n_failed} failed)"
-        )
+    mat = _usable(draws)
     a = 1.0 - level
     lo, med, hi = np.quantile(mat, [a / 2, 0.5, 1.0 - a / 2], axis=0)
     return SummaryTable(
@@ -185,19 +181,32 @@ def _affinities(ell: np.ndarray, units) -> np.ndarray:
     return np.minimum(np.exp(log_aff), 1.0)
 
 
-def _usable_thetas(draws: PosteriorDraws):
-    thetas = [t for t, ok in zip(draws.draws, draws.ok_mask) if ok]
-    if len(thetas) < 2:
-        raise ContractError("need at least 2 usable draws")
-    return thetas
+def _usable(draws: PosteriorDraws) -> np.ndarray:
+    """The rows of the draws that did not fail; at least 2 are needed."""
+    mat = draws.matrix(only_ok=True)
+    if mat.shape[0] < 2:
+        raise ContractError(
+            f"need at least 2 usable draws, have {mat.shape[0]} "
+            f"({draws.n_failed} failed)"
+        )
+    return mat
 
 
 def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
                      prior: Prior, link: Link, i: int) -> float:
-    """Geodesic angle between the full and leave-i-out posteriors."""
-    ell = np.array([[loo_log_ratio(spec, t, data, i, prior, link)
-                     for t in _usable_thetas(draws)]])
-    return float(np.arccos(_affinities(ell, [i])[0]))
+    """Geodesic angle between the full and leave-i-out posteriors.
+
+    A degenerate ratio counts as non-finite, as in robustness_report.
+    """
+    p = data.p
+    ell = []
+    for v in _usable(draws):
+        try:
+            ell.append(loo_log_ratio(spec, Theta(beta=v[:p], delta=v[p:]),
+                                     data, i, prior, link))
+        except DegenerateObjectiveError:
+            ell.append(np.nan)
+    return float(np.arccos(_affinities(np.array([ell]), [i])[0]))
 
 
 def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
@@ -210,11 +219,12 @@ def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     """
     rows = np.arange(data.n)
     obs = _observed_index(data)
-    thetas = _usable_thetas(draws)
-    ell = np.empty((data.n, len(thetas)))
-    for b, theta in enumerate(thetas):
+    mat = _usable(draws)
+    p = data.p
+    ell = np.empty((data.n, mat.shape[0]))
+    for b, v in enumerate(mat):
         # .T is the category-major table that category_probs transposes.
-        P = category_probs(theta, data.X, link).T
+        P = category_probs(Theta(beta=v[:p], delta=v[p:]), data.X, link).T
         # A unit holding the whole synthetic loss sum leaves log(0);
         # _affinities turns that into UnstableIndexError.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +244,7 @@ def _derived_seed(seed: int, key: tuple) -> int:
 
 def _mean_and_se2(fit: PosteriorDraws):
     """Posterior mean and its squared Monte Carlo standard error."""
-    mat = fit.matrix()
+    mat = _usable(fit)
     return mat.mean(axis=0), mat.var(axis=0, ddof=1) / mat.shape[0]
 
 

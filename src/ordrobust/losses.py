@@ -53,6 +53,7 @@ from .model import (
     ContractError,
     Dataset,
     Theta,
+    _cutpoints,
     _observed_cells,
     _probs_from_args,
     category_probs,
@@ -302,25 +303,6 @@ class ObjectiveCore:
         self._hi = np.where(c < self.M - 1, self._obs + 1, 0)
         self._lo = np.where(c > 0, self._obs + 1 - self.n, 0)
 
-    def _split(self, U: np.ndarray):
-        """Decode the rows of U (B, d) without the strict-ordering check.
-
-        exp of a very negative log gap underflows to 0, giving tied
-        cutpoints and zero-width categories; the probability clamp
-        makes the objective finite there, so optimizers may pass
-        through such points freely.
-        """
-        p = self.p
-        # Overflow to inf is fine here: an infinite gap puts the later
-        # cutpoints at +inf, and the probability clamp keeps the value
-        # finite, mirroring the underflow-to-zero case.
-        with np.errstate(over="ignore"):
-            gaps = np.exp(U[:, p + 1:])
-        delta = np.empty((U.shape[0], self.M - 1))
-        delta[:, 0] = U[:, p]
-        delta[:, 1:] = U[:, p:p + 1] + np.cumsum(gaps, axis=1)
-        return gaps, delta, np.einsum("ji,rj->ri", self._XT, U[:, :p])
-
     def _loss_term(self, r: np.ndarray, W: np.ndarray):
         """Loss term L (B,) and dL/dT, a scalar or a (B, 1) column.
 
@@ -373,7 +355,8 @@ class ObjectiveCore:
                 f"a block needs U of shape (B, {self.n_params}) and weights "
                 f"of shape (B, {self.n}), got {U.shape} and {W.shape}"
             )
-        gaps, delta, eta = self._split(U)
+        gaps, delta = _cutpoints(U, self.p)
+        eta = np.einsum("ji,rj->ri", self._XT, U[:, :self.p])
         K = self.M - 1
         if self.spec.kind == "loglik":
             # log f needs only the two cutpoints of each unit's category.

@@ -157,14 +157,29 @@ class Dataset:
 def theta_to_unconstrained(theta: Theta) -> np.ndarray:
     """Map Theta to u = (beta, delta_1, log of cutpoint gaps)."""
     delta = theta.delta
-    if delta.size == 1:
-        return np.concatenate([theta.beta, delta])
-    gaps = np.diff(delta)
-    return np.concatenate([theta.beta, delta[:1], np.log(gaps)])
+    return np.concatenate([theta.beta, delta[:1], np.log(np.diff(delta))])
+
+
+def _cutpoints(U: np.ndarray, n_beta: int, gap_floor: float = 0.0):
+    """(gaps, delta) of unconstrained rows U (..., d), order unchecked.
+
+    gap_k = max(exp(U[..., n_beta + k]), gap_floor).  A gap that
+    underflows to 0 ties two cutpoints, one that overflows puts the
+    later ones at +inf; the probability clamp keeps the objective
+    finite at both, so optimizers may pass through such points.
+    """
+    with np.errstate(over="ignore"):
+        gaps = np.exp(U[..., n_beta + 1:])
+    if gap_floor:
+        gaps = np.maximum(gaps, gap_floor)
+    delta = np.empty(U.shape[:-1] + (gaps.shape[-1] + 1,))
+    delta[..., 0] = U[..., n_beta]
+    delta[..., 1:] = U[..., n_beta:n_beta + 1] + np.cumsum(gaps, axis=-1)
+    return gaps, delta
 
 
 def unconstrained_to_theta(u: np.ndarray, n_beta: int) -> Theta:
-    """Inverse of theta_to_unconstrained; always yields ordered cutpoints."""
+    """Inverse of theta_to_unconstrained; the Theta checks the ordering."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ContractError("unconstrained vector must be one-dimensional")
@@ -172,14 +187,7 @@ def unconstrained_to_theta(u: np.ndarray, n_beta: int) -> Theta:
         raise ContractError(
             f"need at least {n_beta + 1} coordinates, got {u.size}"
         )
-    beta = u[:n_beta]
-    delta0 = u[n_beta]
-    log_gaps = u[n_beta + 1:]
-    delta = np.empty(log_gaps.size + 1)
-    delta[0] = delta0
-    if log_gaps.size:
-        delta[1:] = delta0 + np.cumsum(np.exp(log_gaps))
-    return Theta(beta=beta, delta=delta)
+    return Theta(beta=u[:n_beta], delta=_cutpoints(u, n_beta)[1])
 
 
 def _probs_from_args(A: np.ndarray, link: Link):

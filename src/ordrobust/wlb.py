@@ -36,6 +36,9 @@ far regions (the step is shrunk until the value is finite).  No product
 runs across the rows, so a row's bits do not depend on its block, and
 the (seed, b) determinism holds whatever the worker count.  minimize is
 the one-row case, used for the pilot fit and the shared start.
+
+A fit's draws are stored as one (B, d) matrix in natural coordinates
+(beta, delta), decoded in one call; Thetas are built on demand.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from .links import Link
 from .losses import LossSpec, ObjectiveCore, Prior, _rowdot
-from .model import ContractError, Dataset, Theta, theta_to_unconstrained, unconstrained_to_theta
+from .model import ContractError, Dataset, Theta, _cutpoints, theta_to_unconstrained
 
 __all__ = [
     "WlbConfig",
@@ -109,14 +112,15 @@ class WlbConfig:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """The WLB draw sequence with per-draw convergence flags.
+    """The WLB draws as one matrix, with per-draw convergence flags.
 
-    Flags are one of converged, max_iters, failed.
+    values is (B, d): row b is draw b in natural coordinates
+    (beta, delta).  Flags are one of converged, max_iters, failed.
     Failed draws keep their best iterate here but are dropped by every
     downstream summary; they are never silently hidden.
     """
 
-    draws: tuple
+    values: np.ndarray
     spec: LossSpec
     link: Link
     seed: int
@@ -125,7 +129,13 @@ class PosteriorDraws:
 
     @property
     def n_draws(self) -> int:
-        return len(self.draws)
+        return self.values.shape[0]
+
+    @property
+    def draws(self) -> tuple:
+        """Every draw as a Theta, built from the matrix on each access."""
+        p = self.param_names.index("delta1")  # covariates may not take it
+        return tuple(Theta(beta=v[:p], delta=v[p:]) for v in self.values)
 
     @property
     def ok_mask(self) -> np.ndarray:
@@ -136,9 +146,8 @@ class PosteriorDraws:
         return int(np.sum(~self.ok_mask))
 
     def matrix(self, only_ok: bool = True) -> np.ndarray:
-        """Draws stacked in natural coordinates (beta, delta), one row each."""
-        keep = self.ok_mask if only_ok else np.ones(self.n_draws, dtype=bool)
-        return np.array([t.as_vector() for t, k in zip(self.draws, keep) if k])
+        """A copy of the draws' rows, without the failed ones if only_ok."""
+        return self.values[self.ok_mask] if only_ok else self.values.copy()
 
 
 @dataclass(frozen=True)
@@ -378,22 +387,6 @@ def _weighted(core: ObjectiveCore, w: np.ndarray):
     return lambda u: core.value_and_grad(u, w, validate_weights=False)
 
 
-def _theta_for_storage(x: np.ndarray, n_beta: int) -> Theta:
-    """Decode an iterate, flooring underflowed gaps.
-
-    Converged draws always decode cleanly (the prior keeps log gaps far
-    from the underflow region); a failed draw's best iterate may carry
-    gaps that underflowed to 0, which the floor repairs so the stored
-    value still satisfies the strict cutpoint ordering.
-    """
-    try:
-        return unconstrained_to_theta(x, n_beta)
-    except ContractError:
-        gaps = np.maximum(np.exp(x[n_beta + 1:]), 1e-12)
-        delta = x[n_beta] + np.concatenate([[0.0], np.cumsum(gaps)])
-        return Theta(beta=x[:n_beta], delta=delta)
-
-
 def _initial_point(data: Dataset, link: Link) -> np.ndarray:
     """beta = 0; cutpoints from empirical cumulative proportions."""
     M = data.n_categories
@@ -478,7 +471,7 @@ def _block_size(core: ObjectiveCore) -> int:
 
 def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
                H0, b_range):
-    """(x, status) of one minimization per draw index in b_range.
+    """(X, flags): the unconstrained result and status of each draw in b_range.
 
     Draw b minimizes the objective under the weights of stream
     (seed, b), starting at x_start with inverse Hessian H0.  The draws
@@ -492,14 +485,14 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
         for b in b_range
     ])
     size = _block_size(core)
-    out = []
+    results = []
     for lo in range(0, len(W), size):
         Wb = W[lo:lo + size]
-        results = minimize_block(
+        results += minimize_block(
             lambda X, rows, Wb=Wb: core.block_value_and_grad(X, Wb[rows]),
             np.broadcast_to(x_start, (len(Wb), x_start.size)), H0=H0)
-        out.extend((res.x, res.status) for res in results)
-    return out
+    return (np.array([res.x for res in results]),
+            np.array([res.status for res in results]))
 
 
 def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link):
@@ -525,15 +518,23 @@ def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link):
 
 
 def _assemble(job, link: Link, parts) -> PosteriorDraws:
-    """PosteriorDraws of job from its chunks' (x, status) lists, in order.
+    """PosteriorDraws of job from its chunks' (X, flags), in order.
 
+    Converged draws decode cleanly (the prior keeps log gaps far from
+    the underflow region).  A failed draw's gaps may underflow to 0:
+    rows whose decode is not finite and strictly increasing are decoded
+    again with gaps floored at 1e-12, so their cutpoints stay ordered.
     Raises SamplingFailureError if more than 10% of the draws failed.
     """
     spec, data, config = job
-    results = [t for part in parts for t in part]
+    X = np.concatenate([x for x, _ in parts])
+    flags = np.concatenate([f for _, f in parts])
     B = config.n_draws
-    draws = tuple(_theta_for_storage(x, data.p) for x, _ in results)
-    flags = np.array([status for _, status in results])
+    p = data.p
+    delta = _cutpoints(X, p)[1]
+    bad = ~(np.isfinite(X[:, :p]).all(axis=1) & np.isfinite(delta).all(axis=1)
+            & (np.diff(delta, axis=1) > 0).all(axis=1))
+    delta[bad] = _cutpoints(X[bad], p, gap_floor=1e-12)[1]
 
     n_failed = int(np.sum(flags == "failed"))
     if n_failed > 0.10 * B:
@@ -544,7 +545,7 @@ def _assemble(job, link: Link, parts) -> PosteriorDraws:
 
     delta_names = tuple(f"delta{k + 1}" for k in range(data.n_categories - 1))
     return PosteriorDraws(
-        draws=draws,
+        values=np.concatenate([X[:, :p], delta], axis=1),
         spec=spec,
         link=link,
         seed=config.seed,

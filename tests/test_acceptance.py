@@ -438,7 +438,7 @@ def test_criterion_10_oracle_equivalences(criterion_recorder):
         thetas.extend([atom] * c)
     spec = LossSpec(kind="dp", tuning=0.5)
     pd = PosteriorDraws(
-        draws=tuple(thetas),
+        values=np.array([t.as_vector() for t in thetas]),
         spec=spec,
         link=PROBIT,
         seed=0,

@@ -3,7 +3,9 @@
 The tracer wraps library functions by name from outside the package, so
 renaming or moving one of them breaks `bench/run.py --trace 1` with an
 AttributeError.  This test installs the tracer, runs one small fit, and
-checks that uninstalling restores every patched object.
+checks that uninstalling restores every patched object.  It also pins
+what bench/ reads from that fit: the tracer reads n_draws, and
+bench/test_reference.py iterates draws and calls as_vector on each.
 """
 
 import importlib.util
@@ -43,6 +45,14 @@ def test_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     pre = tmp_path / "pre.json"
     pre.write_text('{"response": "y"}\n', encoding="utf-8")
 
+    fits = []
+
+    def recording_wlb_sample(*args):
+        fits.append(real_wlb_sample(*args))
+        return fits[-1]
+
+    real_wlb_sample = cli.wlb_sample
+    monkeypatch.setattr(cli, "wlb_sample", recording_wlb_sample)
     before = patched_objects()
     tracer = load_tracer().Tracer().install()
     try:
@@ -53,6 +63,11 @@ def test_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
         ])
         assert code == 0
         assert tracer.metrics()["wlb.minimize.calls"] > 0
+        (fit,) = fits
+        assert fit.n_draws == 4
+        assert tracer.metrics()["wlb.wlb_sample.calls"] == 1
+        stacked = np.array([theta.as_vector() for theta in fit.draws])
+        assert np.array_equal(stacked, fit.matrix(only_ok=False))
     finally:
         tracer.uninstall()
     after = patched_objects()

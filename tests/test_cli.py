@@ -518,6 +518,19 @@ class TestRobustness:
             assert float(r[3]) >= 0.0
             assert int(r[5]) == 0
 
+    def test_sweep_needs_two_usable_draws(self, tmp_path, capsys):
+        # one draw has no Monte Carlo error; the sweep refuses it like
+        # fit and the index mode do, instead of writing mc_se = nan
+        data, pre = make_inputs(tmp_path, n=25)
+        code = main([
+            "robustness", "--data", data, "--preprocess", pre,
+            "--mode", "sweep", "--losses", "dp", "--tunings", "0.5",
+            "--omegas", "0,4", "--unit", "0", "--draws", "1",
+            "--seed", "8", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "usable draws" in capsys.readouterr().err
+
     def test_sweep_requires_unit(self, tmp_path, capsys):
         data, pre = make_inputs(tmp_path, n=25)
         code = main([

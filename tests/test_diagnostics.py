@@ -36,11 +36,11 @@ PROBIT = get_link("probit")
 
 def fake_draws(values, flags=None):
     """PosteriorDraws whose first parameter runs through the values."""
-    thetas = tuple(Theta(beta=[float(v)], delta=[0.0]) for v in values)
+    rows = np.array([[float(v), 0.0] for v in values])
     if flags is None:
-        flags = ["converged"] * len(thetas)
+        flags = ["converged"] * len(rows)
     return PosteriorDraws(
-        draws=thetas,
+        values=rows,
         spec=LossSpec(kind="loglik"),
         link=PROBIT,
         seed=0,
@@ -113,7 +113,7 @@ class TestFisherRaoIndex:
     def test_identical_draws_have_zero_index(self):
         data = Dataset(y=[1, 2, 3], X=[[0.1], [0.2], [-0.3]], n_categories=3)
         pd = PosteriorDraws(
-            draws=(Theta(beta=[0.5], delta=[-1.0, 1.0]),) * 6,
+            values=np.tile([0.5, -1.0, 1.0], (6, 1)),
             spec=LossSpec(kind="dp", tuning=0.5),
             link=PROBIT,
             seed=0,
@@ -142,7 +142,7 @@ class TestFisherRaoIndex:
             thetas.extend([atom] * c)
         spec = LossSpec(kind="dp", tuning=0.5)
         pd = PosteriorDraws(
-            draws=tuple(thetas),
+            values=np.array([t.as_vector() for t in thetas]),
             spec=spec,
             link=PROBIT,
             seed=0,
@@ -232,14 +232,18 @@ class TestRobustnessReport:
         data = Dataset(
             y=[2, 2, 2], X=[[40.0], [-40.0], [-41.0]], n_categories=2
         )
-        pd = PosteriorDraws(
-            draws=(Theta(beta=[1.0], delta=[0.0]),) * 4,
-            spec=LossSpec(kind="gamma_synthetic", tuning=1.5),
-            link=PROBIT,
-            seed=0,
-            convergence_flags=np.array(["converged"] * 4),
-            param_names=("x1", "delta1"),
-        )
+
+        def draws(betas):
+            return PosteriorDraws(
+                values=np.array([[b, 0.0] for b in betas]),
+                spec=LossSpec(kind="gamma_synthetic", tuning=1.5),
+                link=PROBIT,
+                seed=0,
+                convergence_flags=np.array(["converged"] * len(betas)),
+                param_names=("x1", "delta1"),
+            )
+
+        pd = draws([1.0] * 4)
         with np.errstate(divide="ignore"):
             with pytest.raises(UnstableIndexError):
                 robustness_report(pd, data, pd.spec, Prior(), PROBIT)
@@ -248,6 +252,16 @@ class TestRobustnessReport:
             warnings.simplefilter("error")
             with pytest.raises(UnstableIndexError):
                 robustness_report(pd, data, pd.spec, Prior(), PROBIT)
+            # the per-unit path applies the same policy
+            with pytest.raises(UnstableIndexError):
+                fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0)
+
+        # one dominated draw of four: both paths drop its ratio and
+        # average over the three identical draws left
+        pd = draws([1.0, 0.01, 0.01, 0.01])
+        rep = robustness_report(pd, data, pd.spec, Prior(), PROBIT)
+        assert rep.index[0] == 0.0
+        assert fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0) == 0.0
 
 
 class TestContaminationSpec:

@@ -17,7 +17,6 @@ from ordrobust import (
     PosteriorDraws,
     Prior,
     SamplingFailureError,
-    Theta,
     WlbConfig,
     autocorrelation,
     get_link,
@@ -570,13 +569,8 @@ class TestWlbSample:
         assert multiprocessing.active_children() == []
 
     def test_failed_draws_excluded_from_matrix(self):
-        draws = (
-            Theta(beta=[0.1], delta=[0.0]),
-            Theta(beta=[0.2], delta=[0.1]),
-            Theta(beta=[9.0], delta=[2.0]),
-        )
         pd = PosteriorDraws(
-            draws=draws,
+            values=np.array([[0.1, 0.0], [0.2, 0.1], [9.0, 2.0]]),
             spec=LossSpec(kind="loglik"),
             link=PROBIT,
             seed=0,
@@ -587,6 +581,23 @@ class TestWlbSample:
         assert pd.matrix().shape == (2, 2)
         assert pd.matrix(only_ok=False).shape == (3, 2)
         assert_allclose(pd.matrix()[1], [0.2, 0.1], rtol=0)
+
+    def test_storage_decode_floors_only_broken_rows(self):
+        # A failed draw's best iterate may carry a log gap so negative
+        # that exp underflows to 0 (tied cutpoints); storage floors its
+        # gaps at 1e-12.  A tiny gap that decodes cleanly keeps its bits.
+        data = toy_data(np.random.default_rng(3))
+        x_tiny = np.array([0.5, -0.3, np.log(1e-13)])
+        x_underflow = np.array([0.4, 0.2, -800.0])
+        X = np.array([x_tiny] * 9 + [x_underflow])
+        flags = np.array(["converged"] * 9 + ["failed"])
+        job = (LossSpec(kind="loglik"), data, WlbConfig(n_draws=10, seed=0))
+        fit = wlb_module._assemble(
+            job, PROBIT, [(X[:4], flags[:4]), (X[4:], flags[4:])])
+        m = fit.matrix(only_ok=False)
+        assert np.array_equal(m[0], unconstrained_to_theta(x_tiny, 1).as_vector())
+        assert np.array_equal(m[9], [0.4, 0.2, 0.2 + 1e-12])
+        assert np.all(np.diff(fit.draws[9].delta) > 0)
 
 
 def fails_on_wide_fits(real):
