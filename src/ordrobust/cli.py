@@ -7,10 +7,15 @@ Four subcommands wire the library into reproducible runs:
     simulate    replicated synthetic study, write mse.csv + coverage.csv
     robustness  per-unit index table or an omega sweep table
 
-Every run writes a manifest.json recording the resolved configuration,
-seed, library version, and sha256 digests of the input files.  All
-files are written atomically, and all numeric cells are printed with
-repr so reruns with the same manifest are byte-identical.
+main is the one run frame: it times the run, resolves the worker
+count and the Prior once, and passes both to the subcommand, which
+returns the input files it read.  main then writes manifest.json: the
+parsed flags with the resolved worker count, the seed, the library
+version, sha256 digests of those inputs, and the wall time.  All files
+are written atomically, and --out-dir is created only when the first
+of them is written, so a run that fails before that leaves no
+directory.  All numeric cells are printed with repr, so reruns with the
+same manifest are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 sampling failure,
 4 I/O error.
@@ -69,6 +74,7 @@ def _fmt(x) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -91,18 +97,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, subcommand: str, config: dict,
-                    seed: int, inputs, wall_time: float) -> None:
+def _write_manifest(args, workers: int, inputs, wall_time: float) -> None:
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config["workers"] = workers
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "input_digests": {p: _sha256(p) for p in inputs},
         "wall_time_seconds": wall_time,
     }
     _write_atomic(
-        os.path.join(out_dir, "manifest.json"),
+        os.path.join(args.out_dir, "manifest.json"),
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
 
@@ -154,6 +161,10 @@ def _loss_specs(args) -> list:
         kind = _CLI_LOSS[name]
         if kind == "loglik":
             specs = [LossSpec(kind="loglik")]
+        elif not tunings:
+            raise ContractError(
+                f"--losses {name} needs at least one --tunings value"
+            )
         else:
             specs = [LossSpec(kind=kind, tuning=t) for t in tunings]
         for spec in specs:
@@ -166,6 +177,10 @@ def _loss_specs(args) -> list:
     if not out:
         raise ContractError("no loss specs requested")
     return out
+
+
+def _tuning_cell(spec: LossSpec) -> str:
+    return "" if spec.kind == "loglik" else _fmt(spec.tuning)
 
 
 def _single_spec(args) -> LossSpec:
@@ -186,12 +201,6 @@ def _load_dataset(args):
         except json.JSONDecodeError as e:
             raise ContractError(f"{args.preprocess}: invalid JSON: {e}") from None
     return load_csv(args.data, PreprocessSpec.from_mapping(obj))
-
-
-def _config_dict(args, workers: int) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["workers"] = workers
-    return cfg
 
 
 def _add_data(sub):
@@ -275,18 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_fit(args) -> None:
-    t0 = time.monotonic()
-    workers = _resolve_workers(args)
-    spec = _single_spec(args)
-    data = _load_dataset(args)
-    link = get_link(args.link)
-    prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
+def _sample(args, spec, data, link, workers, prior, level=0.95):
+    """One WLB fit of spec on data: its draws and their summary."""
     config = WlbConfig(n_draws=args.draws, seed=args.seed, workers=workers)
     draws = wlb_sample(spec, data, prior, link, config)
-    table = summarize(draws, args.level)
+    return draws, summarize(draws, level)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+
+def cmd_fit(args, workers: int, prior: Prior) -> list:
+    spec = _single_spec(args)
+    data = _load_dataset(args)
+    draws, table = _sample(args, spec, data, get_link(args.link), workers,
+                           prior, args.level)
     _write_csv(
         os.path.join(args.out_dir, "summary.csv"),
         ["parameter", "mean", "median", "sd", "lower", "upper"],
@@ -297,10 +306,7 @@ def cmd_fit(args) -> None:
         rows = [[b, str(flag)] + list(v) for b, (v, flag) in enumerate(
             zip(draws.values, draws.convergence_flags))]
         _write_csv(os.path.join(args.out_dir, "draws.csv"), header, rows)
-    _write_manifest(
-        args.out_dir, "fit", _config_dict(args, workers), args.seed,
-        [args.data, args.preprocess], time.monotonic() - t0,
-    )
+    return [args.data, args.preprocess]
 
 
 def _theta_from_summary(path: str, data) -> Theta:
@@ -318,9 +324,7 @@ def _theta_from_summary(path: str, data) -> Theta:
     return Theta(beta=means[:data.p], delta=means[data.p:])
 
 
-def cmd_residuals(args) -> None:
-    t0 = time.monotonic()
-    workers = _resolve_workers(args)
+def cmd_residuals(args, workers: int, prior: Prior) -> list:
     data = _load_dataset(args)
     link = get_link(args.link)
     inputs = [args.data, args.preprocess]
@@ -328,19 +332,13 @@ def cmd_residuals(args) -> None:
         theta = _theta_from_summary(args.from_summary, data)
         inputs.append(args.from_summary)
     else:
-        spec = _single_spec(args)
-        prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
-        config = WlbConfig(n_draws=args.draws, seed=args.seed, workers=workers)
-        draws = wlb_sample(spec, data, prior, link, config)
-        table = summarize(draws)
-        theta = Theta(
-            beta=table.mean[:data.p], delta=table.mean[data.p:]
-        )
+        _, table = _sample(args, _single_spec(args), data, link, workers,
+                           prior)
+        theta = Theta(beta=table.mean[:data.p], delta=table.mean[data.p:])
     res = generalized_residuals(theta, data, link)
     b95 = np.quantile(res, [0.025, 0.975])
     b99 = np.quantile(res, [0.005, 0.995])
 
-    os.makedirs(args.out_dir, exist_ok=True)
     rows = [
         [i, int(data.y[i]), res[i], b95[0], b95[1], b99[0], b99[1]]
         for i in range(data.n)
@@ -351,28 +349,23 @@ def cmd_residuals(args) -> None:
          "band99_lo", "band99_hi"],
         rows,
     )
-    _write_manifest(
-        args.out_dir, "residuals", _config_dict(args, workers), args.seed,
-        inputs, time.monotonic() - t0,
-    )
+    return inputs
 
 
-def cmd_simulate(args) -> None:
-    t0 = time.monotonic()
-    workers = _resolve_workers(args)
+def cmd_simulate(args, workers: int, prior: Prior) -> list:
     rhos = _floats("--rho", args.rho.split(","))
     specs = _loss_specs(args)
     link_name = args.link if args.link is not None else ERROR_LINKS[args.error]
     link = get_link(link_name)
-    prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
     if args.reps < 2:
         raise ContractError("--reps must be at least 2")
 
     mse_rows = []
     cov_rows = []
     for ri, rho in enumerate(rhos):
-        results = {name_t: ([], []) for name_t in
-                   [(nm, sp.tuning) for nm, sp in specs]}
+        # Per spec, in spec order: each replicate's estimate and intervals.
+        ests = [[] for _ in specs]
+        cis = [[] for _ in specs]
         truth = None
         for rep in range(args.reps):
             data, truth = simulate_contaminated(
@@ -390,32 +383,27 @@ def cmd_simulate(args) -> None:
                 for sj, (_, spec) in enumerate(specs)
             ]
             fits = wlb_sample_batch(jobs, prior, link)
-            for (name, spec), draws in zip(specs, fits):
+            for sj, draws in enumerate(fits):
                 table = summarize(draws, args.level)
-                est = Theta(beta=table.mean[:data.p], delta=table.mean[data.p:])
-                ci = np.column_stack([table.lower, table.upper])
-                ests, cis = results[(name, spec.tuning)]
-                ests.append(est)
-                cis.append(ci)
-        for name, spec in specs:
-            ests, cis = results[(name, spec.tuning)]
-            scores = score_estimates(ests, cis, truth)
-            R = len(ests)
+                ests[sj].append(
+                    Theta(beta=table.mean[:data.p], delta=table.mean[data.p:]))
+                cis[sj].append(np.column_stack([table.lower, table.upper]))
+        for (name, spec), spec_ests, spec_cis in zip(specs, ests, cis):
+            scores = score_estimates(spec_ests, spec_cis, truth)
+            R = len(spec_ests)
             log_mb = np.log(scores["mse_beta"])
             log_md = np.log(scores["mse_delta"])
-            tuning_cell = "" if spec.kind == "loglik" else _fmt(spec.tuning)
             mse_rows.append([
-                name, tuning_cell, rho,
+                name, _tuning_cell(spec), rho,
                 log_mb.mean(), log_mb.std(ddof=1) / np.sqrt(R),
                 log_md.mean(), log_md.std(ddof=1) / np.sqrt(R),
             ])
             cov_rows.append([
-                name, tuning_cell, rho,
+                name, _tuning_cell(spec), rho,
                 100.0 * scores["cp_beta"].mean(),
                 100.0 * scores["cp_delta"].mean(),
             ])
 
-    os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(args.out_dir, "mse.csv"),
         ["loss", "tuning", "rho", "mean_log_mse_beta", "mc_se_beta",
@@ -427,20 +415,13 @@ def cmd_simulate(args) -> None:
         ["loss", "tuning", "rho", "cp_beta_pct", "cp_delta_pct"],
         cov_rows,
     )
-    _write_manifest(
-        args.out_dir, "simulate", _config_dict(args, workers), args.seed,
-        [], time.monotonic() - t0,
-    )
+    return []
 
 
-def cmd_robustness(args) -> None:
-    t0 = time.monotonic()
-    workers = _resolve_workers(args)
+def cmd_robustness(args, workers: int, prior: Prior) -> list:
     data = _load_dataset(args)
     link = get_link(args.link)
-    prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
     specs = _loss_specs(args)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     if args.mode == "index":
         jobs = [
@@ -453,10 +434,10 @@ def cmd_robustness(args) -> None:
         rows = []
         for (name, spec), draws in zip(specs, fits):
             report = robustness_report(draws, data, spec, prior, link)
-            tuning_cell = "" if spec.kind == "loglik" else _fmt(spec.tuning)
             for i in range(data.n):
                 rows.append([
-                    name, tuning_cell, i, report.index[i], report.affinity[i]
+                    name, _tuning_cell(spec), i, report.index[i],
+                    report.affinity[i],
                 ])
         _write_csv(
             os.path.join(args.out_dir, "index.csv"),
@@ -475,31 +456,30 @@ def cmd_robustness(args) -> None:
         sweep = posterior_robustness_sweep(
             data, [sp for _, sp in specs], contamination, prior, link, config
         )
-        rows = []
-        for row in sweep:
-            cli_name = next(nm for nm, sp in specs
-                            if sp.kind == row.loss and sp.tuning == row.tuning)
-            tuning_cell = "" if row.loss == "loglik" else _fmt(row.tuning)
-            rows.append([
-                cli_name, tuning_cell, row.omega, row.drift, row.mc_se,
-                row.n_failed,
-            ])
+        # The sweep returns len(omegas) rows per spec, in spec order.
+        cells = [pair for pair in specs for _ in omegas]
+        rows = [
+            [name, _tuning_cell(spec), row.omega, row.drift, row.mc_se,
+             row.n_failed]
+            for (name, spec), row in zip(cells, sweep)
+        ]
         _write_csv(
             os.path.join(args.out_dir, "sweep.csv"),
             ["loss", "tuning", "omega", "drift", "mc_se", "n_failed"],
             rows,
         )
-    _write_manifest(
-        args.out_dir, "robustness", _config_dict(args, workers), args.seed,
-        [args.data, args.preprocess], time.monotonic() - t0,
-    )
+    return [args.data, args.preprocess]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        t0 = time.monotonic()
+        workers = _resolve_workers(args)
+        prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
+        inputs = args.func(args, workers, prior)
+        _write_manifest(args, workers, inputs, time.monotonic() - t0)
     except (ContractError, PreprocessError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -346,7 +346,4 @@ def inject_outlier(data: Dataset, unit: int, covariate: int, b: int,
         raise ContractError("omega must be nonnegative")
     X = data.X.copy()
     X[unit, covariate] -= b * omega
-    return Dataset(
-        y=data.y.copy(), X=X, n_categories=data.n_categories,
-        column_names=data.column_names,
-    )
+    return replace(data, y=data.y.copy(), X=X)

@@ -263,17 +263,14 @@ def posterior_robustness_sweep(
     posteriors are expected to approach as omega grows.  Each cell gets
     its own deterministic seed derived from (config.seed, spec, omega).
     All (1 + len(omegas)) * len(specs) fits run as one wlb_sample_batch,
-    so with config.workers > 1 they share one process pool.
+    so with config.workers > 1 they share one process pool.  Returns
+    len(omegas) SweepRows per spec, in spec order and then omega order.
     """
     c = contamination
     if not 0 <= c.unit < data_clean.n:
         raise ContractError(f"unit {c.unit} outside 0..{data_clean.n - 1}")
-    data_ref = Dataset(
-        y=np.delete(data_clean.y, c.unit),
-        X=np.delete(data_clean.X, c.unit, axis=0),
-        n_categories=data_clean.n_categories,
-        column_names=data_clean.column_names,
-    )
+    data_ref = replace(data_clean, y=np.delete(data_clean.y, c.unit),
+                       X=np.delete(data_clean.X, c.unit, axis=0))
     specs = list(specs)
     data_w = [inject_outlier(data_clean, c.unit, c.covariate, c.direction, omega)
               for omega in c.omegas]

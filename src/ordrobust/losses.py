@@ -322,16 +322,12 @@ class ObjectiveCore:
                     (-lr * self.n / (g * T))[:, None])
         return lr * (-self.n * T), -self.n * lr
 
-    def value(self, u, weights, validate_weights: bool = True) -> float:
-        return self.value_and_grad(u, weights, validate_weights)[0]
+    def value(self, u, weights) -> float:
+        return self.value_and_grad(u, weights)[0]
 
-    def value_and_grad(self, u, weights, validate_weights: bool = True):
+    def value_and_grad(self, u, weights):
         """(value, gradient) at u under weights: one row of the block pass."""
-        w = (
-            _check_weights(weights, self.n)
-            if validate_weights
-            else np.asarray(weights, dtype=float)
-        )
+        w = _check_weights(weights, self.n)
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_params,):
             raise ContractError(

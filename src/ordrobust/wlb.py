@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -382,11 +382,6 @@ def _bfgs_update(H, ident, s, yv):
         s[:, :, None] * s[:, None, :]), ident
 
 
-def _weighted(core: ObjectiveCore, w: np.ndarray):
-    """The fused value-and-gradient callable minimize needs for weights w."""
-    return lambda u: core.value_and_grad(u, w, validate_weights=False)
-
-
 def _initial_point(data: Dataset, link: Link) -> np.ndarray:
     """beta = 0; cutpoints from empirical cumulative proportions."""
     M = data.n_categories
@@ -433,16 +428,12 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link,
     if n_keep < max(data.p + data.n_categories, data.n // 2):
         return x_base
     try:
-        sub = Dataset(
-            y=data.y[keep],
-            X=X[keep],
-            n_categories=data.n_categories,
-            column_names=data.column_names,
-        )
+        sub = replace(data, y=data.y[keep], X=X[keep])
     except ContractError:
         return x_base
     core = ObjectiveCore(LossSpec(kind="loglik"), sub, prior, link)
-    res = minimize(_weighted(core, np.full(sub.n, 1.0 / sub.n)),
+    w = np.full(sub.n, 1.0 / sub.n)
+    res = minimize(lambda u: core.value_and_grad(u, w),
                    _initial_point(sub, link))
     if res.status == "failed" or not np.all(np.isfinite(res.x)):
         return x_base
@@ -458,7 +449,8 @@ def _shared_start(core: ObjectiveCore, x_init: np.ndarray):
     starts one Newton step from its own optimum.  A fit that does not
     converge falls back to x_init and the identity.
     """
-    res = minimize(_weighted(core, np.full(core.n, 1.0 / core.n)), x_init)
+    w = np.full(core.n, 1.0 / core.n)
+    res = minimize(lambda u: core.value_and_grad(u, w), x_init)
     if res.status != "converged":
         return x_init, None
     return res.x, res.inv_hessian

@@ -463,7 +463,81 @@ def test_repeated_loss_spec_is_usage_error(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert f"name {named} more than once" in err
     assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["robustness", "--mode", "index", "--losses", "loglik,dp",
+     "--tunings", ""],
+    ["robustness", "--mode", "sweep", "--unit", "0", "--losses", "loglik,dp",
+     "--tunings", ""],
+    ["simulate", "--error", "normal", "--reps", "2", "--n", "60",
+     "--losses", "loglik,dp", "--tunings", ","],
+], ids=["index", "sweep", "simulate"])
+def test_robust_loss_without_tunings_is_usage_error(tmp_path, capsys, argv):
+    # the robust loss would otherwise be dropped and loglik fitted alone
+    if argv[0] == "robustness":
+        data, pre = make_inputs(tmp_path, n=25)
+        argv = argv + ["--data", data, "--preprocess", pre]
+    out = tmp_path / "o"
+    assert main(argv + ["--draws", "5", "--out-dir", str(out)]) == 2
+    assert "--losses dp needs at least one --tunings value" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestRunFrame:
+    """What main does for every subcommand: the manifest and --out-dir."""
+
+    def argv(self, tmp_path, sub):
+        if sub == "simulate":
+            return ["simulate", "--error", "normal", "--reps", "2",
+                    "--n", "60", "--losses", "loglik"], []
+        data, pre = make_inputs(tmp_path, n=25)
+        tail = ["--data", data, "--preprocess", pre]
+        if sub == "robustness":
+            return ["robustness", "--mode", "index", "--losses", "loglik",
+                    *tail], [data, pre]
+        return [sub, "--loss", "loglik", *tail], [data, pre]
+
+    @pytest.mark.parametrize(
+        "sub", ["fit", "residuals", "simulate", "robustness"])
+    def test_manifest(self, tmp_path, monkeypatch, sub):
+        monkeypatch.delenv("ORDROBUST_WORKERS", raising=False)
+        argv, inputs = self.argv(tmp_path, sub)
+        out = tmp_path / "out"
+        argv += ["--draws", "5", "--seed", "11", "--out-dir", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == sub
+        assert manifest["seed"] == 11
+        assert manifest["config"]["workers"] == 1
+        flags = vars(cli_module.build_parser().parse_args(argv))
+        del flags["func"]
+        assert manifest["config"] == flags
+        assert sorted(manifest["input_digests"]) == sorted(inputs)
+
+    @pytest.mark.parametrize("sub,argv,named", [
+        ("fit", ["--loss", "loglik", "--level", "1.5"], "level"),
+        ("residuals", ["--from-summary", "BAD"], "not a summary.csv"),
+        ("simulate", ["--error", "normal", "--reps", "1"], "--reps"),
+        ("robustness", ["--mode", "index", "--losses", "loglik",
+                        "--draws", "1"], "usable draws"),
+        ("robustness", ["--mode", "sweep", "--unit", "3",
+                        "--covariate", "-1"], "covariate -1 outside 0..0"),
+    ], ids=["fit", "residuals", "simulate", "index", "sweep"])
+    def test_input_error_leaves_no_out_dir(self, tmp_path, capsys, sub, argv,
+                                           named):
+        if sub != "simulate":
+            data, pre = make_inputs(tmp_path, n=25)
+            argv = argv + ["--data", data, "--preprocess", pre]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nope\n", encoding="utf-8")
+        argv = [str(bad) if a == "BAD" else a for a in argv]
+        out = tmp_path / "o"
+        assert main([sub, "--draws", "5", "--out-dir", str(out), *argv]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRobustness:
@@ -505,7 +579,7 @@ class TestRobustness:
         out = tmp_path / "out"
         code = main([
             "robustness", "--data", data, "--preprocess", pre,
-            "--mode", "sweep", "--losses", "dp", "--tunings", "0.5",
+            "--mode", "sweep", "--losses", "loglik,dp", "--tunings", "0.5",
             "--omegas", "0,4", "--unit", "0", "--draws", "20",
             "--seed", "8", "--out-dir", str(out),
         ])
@@ -513,7 +587,10 @@ class TestRobustness:
         header, rows = read_table(out / "sweep.csv")
         assert header == ["loss", "tuning", "omega", "drift", "mc_se",
                           "n_failed"]
-        assert [(r[0], float(r[2])) for r in rows] == [("dp", 0.0), ("dp", 4.0)]
+        assert [(r[0], r[1], float(r[2])) for r in rows] == [
+            ("loglik", "", 0.0), ("loglik", "", 4.0),
+            ("dp", "0.5", 0.0), ("dp", "0.5", 4.0),
+        ]
         for r in rows:
             assert float(r[3]) >= 0.0
             assert int(r[5]) == 0

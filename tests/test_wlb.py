@@ -353,7 +353,7 @@ class TestStallRegression:
             np.random.SeedSequence(entropy=0, spawn_key=(14,)))
         w = sample_dirichlet_uniform(data.n, rng)
         res = minimize(
-            lambda u: core.value_and_grad(u, w, validate_weights=False),
+            lambda u: core.value_and_grad(u, w),
             wlb_module._initial_point(data, PROBIT),
         )
         assert res.status == "converged"
