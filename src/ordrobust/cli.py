@@ -7,15 +7,15 @@ Four subcommands wire the library into reproducible runs:
     simulate    replicated synthetic study, write mse.csv + coverage.csv
     robustness  per-unit index table or an omega sweep table
 
-main is the one run frame: it times the run, resolves the worker
-count and the Prior once, and passes both to the subcommand, which
-returns the input files it read.  main then writes manifest.json: the
-parsed flags with the resolved worker count, the seed, the library
-version, sha256 digests of those inputs, and the wall time.  All files
-are written atomically, and --out-dir is created only when the first
-of them is written, so a run that fails before that leaves no
-directory.  All numeric cells are printed with repr, so reruns with the
-same manifest are byte-identical.
+main is the one run frame: it times the run, checks the seed, resolves
+the worker count and the Prior once, and passes both to the
+subcommand, which returns the input files it read.  main then writes
+manifest.json: the parsed flags with the resolved worker count, the
+seed, the library version, sha256 digests of those inputs, and the
+wall time.  All files are written atomically, and --out-dir is created
+only when the first of them is written, so a run that fails before
+that leaves no directory.  All numeric cells are printed with repr, so
+reruns with the same manifest are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 sampling failure,
 4 I/O error.
@@ -354,6 +354,8 @@ def cmd_residuals(args, workers: int, prior: Prior) -> list:
 
 def cmd_simulate(args, workers: int, prior: Prior) -> list:
     rhos = _floats("--rho", args.rho.split(","))
+    if not rhos:
+        raise ContractError("--rho needs at least one value")
     specs = _loss_specs(args)
     link_name = args.link if args.link is not None else ERROR_LINKS[args.error]
     link = get_link(link_name)
@@ -476,6 +478,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         t0 = time.monotonic()
+        if args.seed < 0:
+            raise ContractError("--seed must be nonnegative")
         workers = _resolve_workers(args)
         prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
         inputs = args.func(args, workers, prior)

@@ -29,14 +29,7 @@ from scipy.special import logsumexp
 
 from .datasim import inject_outlier
 from .links import Link
-from .losses import (
-    DegenerateObjectiveError,
-    LossSpec,
-    Prior,
-    _loo_log_ratios,
-    _observed_index,
-    loo_log_ratio,
-)
+from .losses import LossSpec, Prior, _loo_log_ratios, _observed_index
 from .model import ContractError, Dataset, Theta, category_probs
 from .wlb import PosteriorDraws, WlbConfig, wlb_sample_batch
 # bench/tracer.py looks wlb_sample up here by name.
@@ -192,32 +185,13 @@ def _usable(draws: PosteriorDraws) -> np.ndarray:
     return mat
 
 
-def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
-                     prior: Prior, link: Link, i: int) -> float:
-    """Geodesic angle between the full and leave-i-out posteriors.
+def _loo_log_ratio_table(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
+                         link: Link) -> np.ndarray:
+    """Leave-one-out log kernel ratios, (n units, usable draws).
 
-    A degenerate ratio counts as non-finite, as in robustness_report.
+    Per draw, all n ratios share the same probability table, so the
+    table costs one category_probs call per usable draw.
     """
-    p = data.p
-    ell = []
-    for v in _usable(draws):
-        try:
-            ell.append(loo_log_ratio(spec, Theta(beta=v[:p], delta=v[p:]),
-                                     data, i, prior, link))
-        except DegenerateObjectiveError:
-            ell.append(np.nan)
-    return float(np.arccos(_affinities(np.array([ell]), [i])[0]))
-
-
-def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
-                      prior: Prior, link: Link) -> RobustnessReport:
-    """fisher_rao_index for every unit, computed in one vectorized pass.
-
-    Per draw, all n leave-one-out log ratios share the same probability
-    table, so the whole report costs one table per draw instead of one
-    per (draw, unit).
-    """
-    rows = np.arange(data.n)
     obs = _observed_index(data)
     mat = _usable(draws)
     p = data.p
@@ -229,7 +203,28 @@ def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
         # _affinities turns that into UnstableIndexError.
         with np.errstate(divide="ignore", invalid="ignore"):
             ell[:, b] = _loo_log_ratios(spec, P, obs)
-    affinity = _affinities(ell, rows)
+    return ell
+
+
+def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
+                     prior: Prior, link: Link, i: int) -> float:
+    """Geodesic angle between the full and leave-i-out posteriors.
+
+    It equals robustness_report(...).index[i] bit for bit, and costs as
+    much as the whole report; callers that want every unit should call
+    robustness_report once.
+    """
+    if not 0 <= i < data.n:
+        raise ContractError(f"unit index {i} outside 0..{data.n - 1}")
+    ell = _loo_log_ratio_table(draws, data, spec, link)
+    return float(np.arccos(_affinities(ell[i:i + 1], [i])[0]))
+
+
+def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
+                      prior: Prior, link: Link) -> RobustnessReport:
+    """fisher_rao_index for every unit, from one table of log ratios."""
+    rows = np.arange(data.n)
+    affinity = _affinities(_loo_log_ratio_table(draws, data, spec, link), rows)
     return RobustnessReport(
         unit_indices=rows, index=np.arccos(affinity), affinity=affinity
     )

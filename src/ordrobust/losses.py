@@ -438,16 +438,13 @@ def loo_log_ratio(
     """Log ratio of the leave-i-out posterior kernel to the full kernel.
 
     The prior factor cancels in the ratio (the argument is kept so all
-    kernel operations share a signature).  For the additive kinds the
-    ratio is -r_i(theta); for gamma_synthetic it is the difference of
-    the two non-additive kernels, keeping the leading factor n.
+    kernel operations share a signature).  It is unit i's entry of
+    _loo_log_ratios over the whole probability table; only
+    gamma_synthetic can make it non-finite, which raises.
     """
     n = data.n
     if not 0 <= i < n:
         raise ContractError(f"unit index {i} outside 0..{n - 1}")
-    if spec.kind != "gamma_synthetic":
-        # The additive ratio -r_i needs only unit i's own row.
-        return -_one_unit_loss(spec, theta, data.X[i], int(data.y[i]), link)
     # .T is the category-major table that category_probs transposes.
     P = category_probs(theta, data.X, link).T
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -402,6 +402,18 @@ class TestSimulate:
         assert code == 2
         assert "rho" in capsys.readouterr().err
 
+    def test_empty_rho_is_usage_error(self, tmp_path, capsys):
+        # blank cells are dropped, so "," names no rate at all
+        out = tmp_path / "o"
+        code = main([
+            "simulate", "--error", "normal", "--rho", ",", "--reps", "2",
+            "--n", "60", "--draws", "5", "--losses", "loglik",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "--rho needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["simulate", "--error", "normal", "--losses", "dp",
           "--tunings", "0.5,abc"], "--tunings"),
@@ -537,6 +549,26 @@ class TestRunFrame:
         out = tmp_path / "o"
         assert main([sub, "--draws", "5", "--out-dir", str(out), *argv]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub,argv", [
+        ("fit", ["--loss", "loglik"]),
+        ("residuals", []),
+        ("simulate", ["--error", "normal", "--reps", "2", "--n", "60",
+                      "--losses", "loglik"]),
+        ("robustness", ["--mode", "index", "--losses", "loglik"]),
+        ("robustness", ["--mode", "sweep", "--unit", "0", "--omegas", "0,4",
+                        "--losses", "loglik"]),
+    ], ids=["fit", "residuals", "simulate", "index", "sweep"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, sub, argv):
+        if sub != "simulate":
+            data, pre = make_inputs(tmp_path, n=25)
+            argv = argv + ["--data", data, "--preprocess", pre]
+        out = tmp_path / "o"
+        assert main([sub, "--draws", "5", "--seed", "-1",
+                     "--out-dir", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -182,12 +182,20 @@ class TestFisherRaoIndex:
         data = Dataset(y=[1, 2], X=[[0.0], [0.1]], n_categories=2)
         pd = fake_draws([0.4, 0.5, 0.6])
 
-        def broken(spec, theta, data, i, prior, link):
-            return float("nan")
+        def broken(spec, P, obs):
+            return np.full(obs.size, np.nan)
 
-        monkeypatch.setattr(diag_module, "loo_log_ratio", broken)
+        monkeypatch.setattr(diag_module, "_loo_log_ratios", broken)
         with pytest.raises(UnstableIndexError, match="non-finite"):
             fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_unit_outside_range(self, i):
+        # -1 would otherwise read the last unit's row of the table
+        data = Dataset(y=[1, 2], X=[[0.0], [0.1]], n_categories=2)
+        pd = fake_draws([0.4, 0.5, 0.6])
+        with pytest.raises(ContractError, match=f"unit index {i} outside 0..1"):
+            fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, i)
 
 
 class TestRobustnessReport:
@@ -206,7 +214,7 @@ class TestRobustnessReport:
             assert rep.index.shape == (12,)
             for i in range(12):
                 want = fisher_rao_index(fit, data, spec, Prior(), PROBIT, i)
-                assert_allclose(rep.index[i], want, rtol=1e-10, atol=1e-12)
+                assert rep.index[i] == want
 
     def test_affinities_match_per_unit_loop(self):
         # more units than one logsumexp block, with some non-finite
