@@ -356,6 +356,9 @@ def cmd_simulate(args, workers: int, prior: Prior) -> list:
     rhos = _floats("--rho", args.rho.split(","))
     if not rhos:
         raise ContractError("--rho needs at least one value")
+    for k, rho in enumerate(rhos):
+        if rho in rhos[:k]:
+            raise ContractError(f"--rho names {rho:g} more than once")
     specs = _loss_specs(args)
     link_name = args.link if args.link is not None else ERROR_LINKS[args.error]
     link = get_link(link_name)

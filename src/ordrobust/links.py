@@ -67,12 +67,15 @@ def _check_q(q):
 
 def _probit_cdf_sf_pdf(t):
     t = np.asarray(t, dtype=float)
-    # ndtr is relatively accurate in its lower tail; reflecting keeps
-    # the survival function accurate in the upper tail.  t * t
+    # One ndtr per element: q = ndtr(-|t|), the smaller tail, relatively
+    # accurate; the larger is 1 - q.  That is ndtr(t) and ndtr(-t) bit for
+    # bit where |t| >= 1, within 1 ulp below (scipy's erf branch).  t * t
     # overflows beyond |t| ~ 1e154, where the density is 0 anyway.
     with np.errstate(over="ignore"):
         pdf = np.exp(-0.5 * t * t) / _SQRT_2PI
-    return special.ndtr(t), special.ndtr(-t), pdf
+    q = special.ndtr(-np.abs(t))
+    big, lower = 1.0 - q, t < 0.0
+    return np.where(lower, q, big), np.where(lower, big, q), pdf
 
 
 def _probit_quantile(q):

@@ -17,9 +17,10 @@ Holmes & Walker 2019), so all draws share one start: the equal-weights
 optimum of the same objective, fitted once per fit in the calling
 process, with its final BFGS inverse Hessian as the first curvature
 estimate.  The start is computed before any worker pool exists and is
-shipped to every chunk unchanged.  A draw is one minimization from that
-start, and its flag is that minimization's status: converged, max_iters
-or failed.
+shipped to every chunk unchanged.  Both serial fits (the robust kinds'
+pilot, then the shared start) begin BFGS from the inverse of a
+finite-difference Hessian, and a batch fits one pilot per dataset.  A
+draw is one minimization from that start, and its flag is its status.
 
 The minimizer is a dense BFGS that runs a block of independent
 problems in lock step: each round, one call of the block's value and
@@ -412,7 +413,8 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link,
     (median/MAD, columns with zero MAD skipped), and the pilot is used
     purely as an initial iterate, so the sampled objective itself still
     sees every row.  Datasets without extreme leverage trim nothing and
-    skip the extra fit entirely.
+    skip the extra fit entirely.  The fit is a _seeded_fit; it reads
+    data, prior and link only, so a batch fits it once per dataset.
     """
     X = data.X
     med = np.median(X, axis=0)
@@ -432,9 +434,7 @@ def _pilot_init(data: Dataset, prior: Prior, link: Link,
     except ContractError:
         return x_base
     core = ObjectiveCore(LossSpec(kind="loglik"), sub, prior, link)
-    w = np.full(sub.n, 1.0 / sub.n)
-    res = minimize(lambda u: core.value_and_grad(u, w),
-                   _initial_point(sub, link))
+    res = _seeded_fit(core, _initial_point(sub, link))
     if res.status == "failed" or not np.all(np.isfinite(res.x)):
         return x_base
     return res.x
@@ -446,14 +446,49 @@ def _shared_start(core: ObjectiveCore, x_init: np.ndarray):
     The equal-weights optimum of the sampled objective, fitted from
     x_init, with the final BFGS matrix of that fit.  Every Dirichlet
     draw is a small perturbation of this problem, so its minimization
-    starts one Newton step from its own optimum.  A fit that does not
-    converge falls back to x_init and the identity.
+    starts one Newton step from its own optimum.  The fit is a
+    _seeded_fit; one that does not converge falls back to x_init and
+    the identity.
     """
-    w = np.full(core.n, 1.0 / core.n)
-    res = minimize(lambda u: core.value_and_grad(u, w), x_init)
+    res = _seeded_fit(core, x_init)
     if res.status != "converged":
         return x_init, None
     return res.x, res.inv_hessian
+
+
+def _fd_hessian(core: ObjectiveCore, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian of core's objective at x under weights w.
+
+    The gradients at the 2d rows x +- h_j e_j, h_j = eps**(1/3) max(1, |x_j|),
+    come from block passes no larger than a draw block; symmetrized.
+    """
+    d = x.size
+    h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
+    U = np.concatenate([x + np.diag(h), x - np.diag(h)])
+    W = np.broadcast_to(w, (2 * d, w.size))
+    size = _block_size(core)
+    G = np.concatenate([core.block_value_and_grad(U[lo:lo + size],
+                                                  W[lo:lo + size])[1]
+                        for lo in range(0, 2 * d, size)])
+    H = (G[:d] - G[d:]) / (2.0 * h[:, None])
+    return 0.5 * (H + H.T)
+
+
+def _seeded_fit(core: ObjectiveCore, x0: np.ndarray) -> MinimizeResult:
+    """The equal-weights fit of core from x0, BFGS seeded at the inverse
+    _fd_hessian, so its first step is Newton's (Nocedal & Wright 2006,
+    6.1 and 8.1); a Hessian not finite or not positive definite leaves
+    the identity start.
+    """
+    w = np.full(core.n, 1.0 / core.n)
+    H, H0 = _fd_hessian(core, x0, w), None
+    if np.isfinite(H).all():
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(H))
+            H0 = L_inv.T @ L_inv
+        except np.linalg.LinAlgError:
+            pass
+    return minimize(lambda u: core.value_and_grad(u, w), x0, H0=H0)
 
 
 def _block_size(core: ObjectiveCore) -> int:
@@ -487,7 +522,7 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
             np.array([res.status for res in results]))
 
 
-def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link):
+def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link, pilots: dict):
     """Serial part of one fit: its objective and the shared start."""
     observed = np.unique(data.y)
     missing = sorted(set(range(1, data.n_categories + 1)) - set(observed.tolist()))
@@ -504,7 +539,9 @@ def _prepare(spec: LossSpec, data: Dataset, prior: Prior, link: Link):
         # Redescending losses need a robust starting point; the plain
         # likelihood has no redescending structure and keeps the
         # classical empirical initialization.
-        x_init = _pilot_init(data, prior, link, x_init)
+        if id(data) not in pilots:
+            pilots[id(data)] = _pilot_init(data, prior, link, x_init)
+        x_init = pilots[id(data)]
     x_start, H0 = _shared_start(core, x_init)
     return core, x_start, H0
 
@@ -550,10 +587,11 @@ def wlb_sample_batch(jobs, prior: Prior, link: Link) -> list:
     """Run several WLB fits, each given as (spec, data, config), on one pool.
 
     Every fit's serial part (pilot fit and shared start) runs first, in
-    the calling process and in job order.  Then the draw chunks of all
-    fits go to one process pool of min(max workers, max n_draws)
-    processes, so no worker waits at a barrier between fits; with one
-    process no pool is built and the fits run in turn.  Each fit is
+    the calling process and in job order; the robust fits on one data
+    object share one pilot fit.  Then the draw chunks of all fits go to
+    one process pool of min(max workers, max n_draws) processes, so no
+    worker waits at a barrier between fits; with one process no pool is
+    built and the fits run in turn.  Each fit is
     split into its own min(workers, B) chunks, as a lone wlb_sample
     call splits it, and every draw is bit-identical to that call.
 
@@ -566,8 +604,9 @@ def wlb_sample_batch(jobs, prior: Prior, link: Link) -> list:
     if not jobs:
         return []
     calls = []  # per job, the _run_draws arguments of each chunk
+    pilots = {}  # id(data) -> pilot start; jobs keeps each data alive
     for spec, data, config in jobs:
-        core, x_start, H0 = _prepare(spec, data, prior, link)
+        core, x_start, H0 = _prepare(spec, data, prior, link, pilots)
         B = config.n_draws
         bounds = np.linspace(0, B, min(config.workers, B) + 1).astype(int)
         calls.append([(core, config, x_start, H0, range(lo, hi))

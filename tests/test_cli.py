@@ -414,6 +414,21 @@ class TestSimulate:
         assert "--rho needs at least one value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho", ["0.2,0.2", "0.1,0.2,0.20"])
+    def test_repeated_rho_is_usage_error(self, tmp_path, capsys, rho):
+        # a repeated rate would write two mse.csv rows with one key
+        out = tmp_path / "o"
+        code = main([
+            "simulate", "--error", "normal", "--rho", rho, "--reps", "2",
+            "--n", "60", "--draws", "5", "--losses", "loglik",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--rho names 0.2 more than once" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["simulate", "--error", "normal", "--losses", "dp",
           "--tunings", "0.5,abc"], "--tunings"),

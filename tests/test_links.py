@@ -123,6 +123,26 @@ def test_probit_sf_deep_tail():
         assert_allclose(link.sf(t), want, rtol=1e-12)
 
 
+def test_probit_kernel_against_scipy():
+    # one ndtr per element: bit for bit where |t| >= 1, where scipy takes
+    # its erfc branch for ndtr(t) and ndtr(-t); within 1 ulp inside
+    from scipy import special
+
+    t = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                        [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan]])
+    cdf, sf, pdf = get_link("probit").cdf_sf_pdf(t)
+    outer = np.abs(t) >= 1.0
+    inner = np.abs(t) < 1.0
+    assert outer.sum() + inner.sum() == t.size - 1
+    for got, want in ((cdf, special.ndtr(t)), (sf, special.ndtr(-t))):
+        assert np.array_equal(got[outer], want[outer])
+        ulp = np.spacing(np.maximum(got[inner], want[inner]))
+        assert np.all(np.abs(got[inner] - want[inner]) <= ulp)
+    assert np.array_equal(pdf, np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi),
+                          equal_nan=True)
+    assert np.isnan(cdf[-1]) and np.isnan(sf[-1]) and np.isnan(pdf[-1])
+
+
 def test_cauchit_lower_tail_reflection():
     # the arctan reflection keeps relative accuracy where 0.5 + atan/pi cancels
     link = get_link("cauchit")

@@ -614,10 +614,11 @@ def fails_on_wide_fits(real):
 def raises_in_wide_draws(real):
     """minimize_block that raises in the draws of a 4-parameter problem.
 
-    Only draws pass H0, so the serial preparation still runs.
+    The serial fits are one-row blocks, so the preparation still runs;
+    the two-worker toy jobs give draw blocks of three rows.
     """
     def stub(fg, X0, max_iters=500, grad_tol=1e-6, H0=None):
-        if np.shape(X0)[1] == 4 and H0 is not None:
+        if np.shape(X0)[1] == 4 and np.shape(X0)[0] > 1:
             raise FloatingPointError("draw stub raised")
         return real(fg, X0, max_iters, grad_tol, H0)
     return stub
@@ -759,6 +760,110 @@ class TestBatch:
             assert ran == [True, True, True, True, False, False]
         else:
             assert ran == [True, True, True, False, False, False]
+
+
+class NegatedQuadratic:
+    """A stand-in core whose objective is -x.x / 2: gradient -x."""
+
+    n, M = 10, 2
+
+    def block_value_and_grad(self, U, W):
+        return -0.5 * np.sum(U * U, axis=1), -U
+
+
+class TestSeededSerialFits:
+    def test_fd_hessian_matches_oracle_second_differences(self):
+        data = toy_data(np.random.default_rng(31), n=30, p=2, M=3)
+        core = ObjectiveCore(LossSpec(kind="loglik"), data, Prior(), PROBIT)
+        w = np.full(data.n, 1.0 / data.n)
+        res = minimize(lambda u: core.value_and_grad(u, w),
+                       wlb_module._initial_point(data, PROBIT))
+        assert res.status == "converged"
+        x, d, h = res.x, res.x.size, 1e-4
+
+        def f(u):
+            return oracles.direct_weighted_objective(
+                "loglik", 0.0, 1.0, u, data.X, data.y, w, 10.0, 10.0, PROBIT)
+
+        E = np.eye(d) * h
+        want = np.array([[(f(x + E[j] + E[k]) - f(x + E[j] - E[k])
+                           - f(x - E[j] + E[k]) + f(x - E[j] - E[k])) / (4 * h * h)
+                          for k in range(d)] for j in range(d)])
+        got = wlb_module._fd_hessian(core, x, w)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+
+    def test_fd_hessian_blocks_no_wider_than_a_draw_block(self):
+        # n * M = 5000 elements: blocks of 3 rows, 12 rows to pass
+        data = toy_data(np.random.default_rng(33), n=1000, p=2, M=5)
+        core = ObjectiveCore(LossSpec(kind="dp", tuning=0.3), data, Prior(),
+                             PROBIT)
+        widths = []
+        real = core.block_value_and_grad
+
+        def spy(U, W):
+            widths.append(len(U))
+            return real(U, W)
+
+        core.block_value_and_grad = spy
+        x = wlb_module._initial_point(data, PROBIT)
+        wlb_module._fd_hessian(core, x, np.full(data.n, 1.0 / data.n))
+        assert sum(widths) == 2 * x.size
+        assert max(widths) == wlb_module._block_size(core) < 2 * x.size
+
+    def test_not_positive_definite_keeps_identity_start(self, monkeypatch):
+        seen = []
+
+        def record(fg, x0, H0=None):
+            seen.append(H0)
+            return "fit"
+
+        monkeypatch.setattr(wlb_module, "minimize", record)
+        assert wlb_module._seeded_fit(NegatedQuadratic(), np.ones(3)) == "fit"
+        assert seen == [None]
+
+    def test_seeded_shared_start_matches_identity_start(self):
+        # rep 0 of the criterion-8/9 design
+        data, _ = simulate_contaminated(0.2, "normal", 200,
+                                        _derived_seed(808, (0, 0)))
+        w = np.full(data.n, 1.0 / data.n)
+        for spec in (LossSpec(kind="loglik"), LossSpec(kind="dp", tuning=0.3),
+                     LossSpec(kind="gamma_general", tuning=0.3)):
+            core = ObjectiveCore(spec, data, Prior(), PROBIT)
+            x_init = wlb_module._initial_point(data, PROBIT)
+            if spec.kind != "loglik":
+                x_init = wlb_module._pilot_init(data, Prior(), PROBIT, x_init)
+            x_start, H0 = wlb_module._shared_start(core, x_init)
+            cold = minimize(lambda u: core.value_and_grad(u, w), x_init)
+            assert cold.status == "converged" and H0 is not None
+            assert_allclose(x_start, cold.x, rtol=0, atol=1e-6)
+
+    def test_batch_fits_one_pilot_per_dataset(self, monkeypatch):
+        data = toy_data(np.random.default_rng(32), n=40, p=2)
+        data = replace(data, X=np.vstack([data.X[:-1], [[40.0, 0.0]]]))
+        jobs = [(spec, data, WlbConfig(n_draws=6, seed=50 + k))
+                for k, spec in enumerate([
+                    LossSpec(kind="dp", tuning=0.5),
+                    LossSpec(kind="gamma_synthetic", tuning=0.5),
+                    LossSpec(kind="gamma_general", tuning=0.5)])]
+        alone = [wlb_sample(spec, d, Prior(), PROBIT, config)
+                 for spec, d, config in jobs]
+        pilots = []
+        real = wlb_module._pilot_init
+
+        def counted_pilot(*args):
+            pilots.append(real(*args))
+            return pilots[-1]
+
+        monkeypatch.setattr(wlb_module, "_pilot_init", counted_pilot)
+        fits = wlb_sample_batch(jobs, Prior(), PROBIT)
+        assert len(pilots) == 1
+        # the high-leverage row is trimmed, so the pilot is a real fit
+        assert not np.array_equal(pilots[0],
+                                  wlb_module._initial_point(data, PROBIT))
+        for a, b in zip(alone, fits):
+            assert np.array_equal(a.values, b.values)
+            assert a.convergence_flags.tolist() == b.convergence_flags.tolist()
 
 
 class TestCoverageSanity:
