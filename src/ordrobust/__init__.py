@@ -26,7 +26,6 @@ from .losses import (
     ObjectiveCore,
     Prior,
     log_prior,
-    loo_log_ratio,
     unit_dp_loss,
     unit_gamma_loss,
     weighted_objective,
@@ -47,6 +46,7 @@ from .diagnostics import (
     ConstantSeriesError,
     Contamination,
     RobustnessReport,
+    StudyCell,
     SummaryTable,
     SweepRow,
     UnstableIndexError,
@@ -55,6 +55,7 @@ from .diagnostics import (
     posterior_robustness_sweep,
     robustness_report,
     score_estimates,
+    simulate_study,
     summarize,
 )
 from .datasim import (
@@ -75,15 +76,15 @@ __all__ = [
     "PROB_FLOOR", "ContractError", "Dataset", "Theta", "category_probs",
     "generalized_residuals", "theta_to_unconstrained", "unconstrained_to_theta",
     "LOSS_KINDS", "DegenerateObjectiveError", "LossSpec", "ObjectiveCore",
-    "Prior", "log_prior", "loo_log_ratio", "unit_dp_loss", "unit_gamma_loss",
+    "Prior", "log_prior", "unit_dp_loss", "unit_gamma_loss",
     "weighted_objective", "weighted_objective_gradient",
     "MinimizeResult", "PosteriorDraws", "SamplingFailureError", "WlbConfig",
     "minimize", "minimize_block", "sample_dirichlet_uniform", "wlb_sample",
     "wlb_sample_batch",
-    "ConstantSeriesError", "Contamination", "RobustnessReport", "SummaryTable",
-    "SweepRow", "UnstableIndexError", "autocorrelation", "fisher_rao_index",
-    "posterior_robustness_sweep", "robustness_report", "score_estimates",
-    "summarize",
+    "ConstantSeriesError", "Contamination", "RobustnessReport", "StudyCell",
+    "SummaryTable", "SweepRow", "UnstableIndexError", "autocorrelation",
+    "fisher_rao_index", "posterior_robustness_sweep", "robustness_report",
+    "score_estimates", "simulate_study", "summarize",
     "ACTIONS", "ERROR_LINKS", "PreprocessError", "PreprocessSpec",
     "inject_outlier", "likert_sigma", "load_csv", "simulate_contaminated",
     "simulate_grid",

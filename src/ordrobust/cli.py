@@ -4,7 +4,7 @@ Four subcommands wire the library into reproducible runs:
 
     fit         sample one posterior, write summary.csv (+ draws.csv)
     residuals   generalized residuals with empirical bands
-    simulate    replicated synthetic study, write mse.csv + coverage.csv
+    simulate    diagnostics.simulate_study, write mse.csv + coverage.csv
     robustness  per-unit index table or an omega sweep table
 
 main is the one run frame: it times the run, checks the seed, resolves
@@ -33,22 +33,19 @@ import time
 import numpy as np
 
 from . import __version__
-from .datasim import (
-    ERROR_LINKS,
-    PreprocessError,
-    PreprocessSpec,
-    load_csv,
-    simulate_contaminated,
-)
+from .datasim import ERROR_LINKS, PreprocessError, PreprocessSpec, load_csv
 from .diagnostics import (
     Contamination,
     UnstableIndexError,
     _derived_seed,
     posterior_robustness_sweep,
     robustness_report,
-    score_estimates,
+    simulate_study,
     summarize,
 )
+# bench/tracer.py looks these two up here by name.
+from .datasim import simulate_contaminated  # noqa: F401
+from .diagnostics import score_estimates  # noqa: F401
 from .links import LINKS, get_link
 from .losses import DegenerateObjectiveError, LossSpec, Prior
 from .model import ContractError, Theta, generalized_residuals
@@ -354,60 +351,29 @@ def cmd_residuals(args, workers: int, prior: Prior) -> list:
 
 def cmd_simulate(args, workers: int, prior: Prior) -> list:
     rhos = _floats("--rho", args.rho.split(","))
-    if not rhos:
-        raise ContractError("--rho needs at least one value")
-    for k, rho in enumerate(rhos):
-        if rho in rhos[:k]:
-            raise ContractError(f"--rho names {rho:g} more than once")
     specs = _loss_specs(args)
     link_name = args.link if args.link is not None else ERROR_LINKS[args.error]
-    link = get_link(link_name)
-    if args.reps < 2:
-        raise ContractError("--reps must be at least 2")
-
+    config = WlbConfig(n_draws=args.draws, seed=args.seed, workers=workers)
+    cells = simulate_study(
+        args.error, rhos, args.n, args.reps, [spec for _, spec in specs],
+        prior, get_link(link_name), config, args.level,
+    )
+    # The study returns len(specs) cells per rho, in spec order.
+    names = [name for name, _ in specs] * len(rhos)
     mse_rows = []
     cov_rows = []
-    for ri, rho in enumerate(rhos):
-        # Per spec, in spec order: each replicate's estimate and intervals.
-        ests = [[] for _ in specs]
-        cis = [[] for _ in specs]
-        truth = None
-        for rep in range(args.reps):
-            data, truth = simulate_contaminated(
-                rho, args.error, args.n, _derived_seed(args.seed, (ri, rep, 0))
-            )
-            # One batch, and so one process pool, per replicate: its fits
-            # share the data, and a batch for the whole study would hold
-            # every fit's draws at once.
-            jobs = [
-                (spec, data, WlbConfig(
-                    n_draws=args.draws,
-                    seed=_derived_seed(args.seed, (ri, rep, 1 + sj)),
-                    workers=workers,
-                ))
-                for sj, (_, spec) in enumerate(specs)
-            ]
-            fits = wlb_sample_batch(jobs, prior, link)
-            for sj, draws in enumerate(fits):
-                table = summarize(draws, args.level)
-                ests[sj].append(
-                    Theta(beta=table.mean[:data.p], delta=table.mean[data.p:]))
-                cis[sj].append(np.column_stack([table.lower, table.upper]))
-        for (name, spec), spec_ests, spec_cis in zip(specs, ests, cis):
-            scores = score_estimates(spec_ests, spec_cis, truth)
-            R = len(spec_ests)
-            log_mb = np.log(scores["mse_beta"])
-            log_md = np.log(scores["mse_delta"])
-            mse_rows.append([
-                name, _tuning_cell(spec), rho,
-                log_mb.mean(), log_mb.std(ddof=1) / np.sqrt(R),
-                log_md.mean(), log_md.std(ddof=1) / np.sqrt(R),
-            ])
-            cov_rows.append([
-                name, _tuning_cell(spec), rho,
-                100.0 * scores["cp_beta"].mean(),
-                100.0 * scores["cp_delta"].mean(),
-            ])
+    for name, cell in zip(names, cells):
+        key = [name, _tuning_cell(cell.spec), cell.rho]
+        R = cell.mse_beta.size
+        log_mb = np.log(cell.mse_beta)
+        log_md = np.log(cell.mse_delta)
+        mse_rows.append(key + [
+            log_mb.mean(), log_mb.std(ddof=1) / np.sqrt(R),
+            log_md.mean(), log_md.std(ddof=1) / np.sqrt(R),
+        ])
+        cov_rows.append(key + [
+            100.0 * cell.cp_beta.mean(), 100.0 * cell.cp_delta.mean(),
+        ])
 
     _write_csv(
         os.path.join(args.out_dir, "mse.csv"),

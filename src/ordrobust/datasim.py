@@ -131,6 +131,12 @@ def load_csv(path, spec: PreprocessSpec) -> Dataset:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise PreprocessError(f"{path}: empty file") from None
+        # A repeated name would keep only its last column.
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise PreprocessError(
+                    f"{path}: header names column {name!r} more than once"
+                )
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):

@@ -18,6 +18,11 @@ empirically: one unit is dragged to ever larger outlyingness and the
 posterior mean's drift from the leave-that-unit-out fit is tracked.
 A robust posterior's drift flattens; the likelihood posterior's drift
 grows without bound.
+
+simulate_study runs the paper's contaminated simulation study: per
+contamination rate and replicate it draws a dataset with known truth,
+fits every loss spec to it, and scores the posterior means and
+intervals with score_estimates.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .datasim import inject_outlier
+from .datasim import inject_outlier, simulate_contaminated
 from .links import Link
 from .losses import LossSpec, Prior, _loo_log_ratios, _observed_index
 from .model import ContractError, Dataset, Theta, category_probs
@@ -40,12 +45,14 @@ __all__ = [
     "RobustnessReport",
     "Contamination",
     "SweepRow",
+    "StudyCell",
     "UnstableIndexError",
     "ConstantSeriesError",
     "summarize",
     "fisher_rao_index",
     "robustness_report",
     "posterior_robustness_sweep",
+    "simulate_study",
     "score_estimates",
     "autocorrelation",
 ]
@@ -122,13 +129,29 @@ class SweepRow:
     n_failed: int
 
 
+@dataclass(frozen=True)
+class StudyCell:
+    """Per-replicate scores of one loss spec at one contamination rate."""
+
+    rho: float
+    spec: LossSpec
+    mse_beta: np.ndarray
+    mse_delta: np.ndarray
+    cp_beta: np.ndarray
+    cp_delta: np.ndarray
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ContractError("level must be in (0, 1)")
+
+
 def summarize(draws: PosteriorDraws, level: float = 0.95) -> SummaryTable:
     """Per-parameter mean, median, sd, and central credible interval.
 
     Failed draws are excluded; their count is reported on the table.
     """
-    if not 0.0 < level < 1.0:
-        raise ContractError("level must be in (0, 1)")
+    _check_level(level)
     mat = _usable(draws)
     a = 1.0 - level
     lo, med, hi = np.quantile(mat, [a / 2, 0.5, 1.0 - a / 2], axis=0)
@@ -303,6 +326,62 @@ def posterior_robustness_sweep(
                 )
             )
     return rows
+
+
+def simulate_study(error: str, rhos, n: int, reps: int, specs, prior: Prior,
+                   link: Link, config: WlbConfig, level: float = 0.95):
+    """MSE and interval coverage of every spec under contamination.
+
+    Replicate rep at rate rhos[ri] fits every spec to the dataset
+    simulate_contaminated(rho, error, n, ...) draws from seed
+    (config.seed, (ri, rep, 0)); its fit of specs[sj] draws from seed
+    (config.seed, (ri, rep, 1 + sj)).  Each fit is scored by its
+    posterior mean and central level interval.  Every dataset is drawn,
+    and so every argument checked, before the first fit; the messages
+    name the simulate flags that carry rhos and reps.  Returns one
+    StudyCell per (rho, spec), in rho order and then spec order.
+    """
+    rhos = [float(rho) for rho in rhos]
+    specs = list(specs)
+    if not rhos:
+        raise ContractError("--rho needs at least one value")
+    for k, rho in enumerate(rhos):
+        if rho in rhos[:k]:
+            raise ContractError(f"--rho names {rho:g} more than once")
+    if reps < 2:
+        raise ContractError("--reps must be at least 2")
+    _check_level(level)
+    # (data, truth) per replicate, per rate; the truth is shared.
+    datasets = [
+        [simulate_contaminated(rho, error, n,
+                               _derived_seed(config.seed, (ri, rep, 0)))
+         for rep in range(reps)]
+        for ri, rho in enumerate(rhos)
+    ]
+    cells = []
+    for ri, (rho, replicates) in enumerate(zip(rhos, datasets)):
+        # Per spec, in spec order: each replicate's estimate and intervals.
+        ests = [[] for _ in specs]
+        cis = [[] for _ in specs]
+        for rep, (data, truth) in enumerate(replicates):
+            # One batch, and so one process pool, per replicate: its fits
+            # share the data, and a batch for the whole study would hold
+            # every fit's draws at once.
+            jobs = [
+                (spec, data, replace(
+                    config, seed=_derived_seed(config.seed, (ri, rep, 1 + sj))))
+                for sj, spec in enumerate(specs)
+            ]
+            for sj, draws in enumerate(wlb_sample_batch(jobs, prior, link)):
+                table = summarize(draws, level)
+                ests[sj].append(
+                    Theta(beta=table.mean[:data.p], delta=table.mean[data.p:]))
+                cis[sj].append(np.column_stack([table.lower, table.upper]))
+        for spec, spec_ests, spec_cis in zip(specs, ests, cis):
+            cells.append(StudyCell(
+                rho=rho, spec=spec,
+                **score_estimates(spec_ests, spec_cis, truth)))
+    return cells
 
 
 def score_estimates(estimates, intervals, truth: Theta) -> dict:

@@ -70,7 +70,6 @@ __all__ = [
     "log_prior",
     "weighted_objective",
     "weighted_objective_gradient",
-    "loo_log_ratio",
     "ObjectiveCore",
 ]
 
@@ -430,27 +429,3 @@ def weighted_objective_gradient(
     """Analytic gradient of weighted_objective in unconstrained coordinates."""
     core = ObjectiveCore(spec, data, prior, link)
     return core.value_and_grad(u, weights)[1]
-
-
-def loo_log_ratio(
-    spec: LossSpec, theta: Theta, data: Dataset, i: int, prior: Prior, link: Link
-) -> float:
-    """Log ratio of the leave-i-out posterior kernel to the full kernel.
-
-    The prior factor cancels in the ratio (the argument is kept so all
-    kernel operations share a signature).  It is unit i's entry of
-    _loo_log_ratios over the whole probability table; only
-    gamma_synthetic can make it non-finite, which raises.
-    """
-    n = data.n
-    if not 0 <= i < n:
-        raise ContractError(f"unit index {i} outside 0..{n - 1}")
-    # .T is the category-major table that category_probs transposes.
-    P = category_probs(theta, data.X, link).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ell = _loo_log_ratios(spec, P, _observed_index(data))[i]
-    if not np.isfinite(ell):
-        raise DegenerateObjectiveError(
-            "gamma loss sum is not positive after removing the unit"
-        )
-    return float(ell)

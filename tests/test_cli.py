@@ -10,14 +10,19 @@ from numpy.testing import assert_allclose
 
 import ordrobust
 import ordrobust.cli as cli_module
+import ordrobust.diagnostics as diag_module
 from ordrobust import (
     Dataset,
+    LossSpec,
     PreprocessSpec,
+    Prior,
     SamplingFailureError,
     Theta,
+    WlbConfig,
     generalized_residuals,
     get_link,
     load_csv,
+    simulate_study,
 )
 from ordrobust.cli import main
 
@@ -449,6 +454,52 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert flag in err and "'abc'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "0.2,0.7", "--reps", "10", "--draws", "300",
+         "--losses", "loglik,dp", "--tunings", "0.3"],
+        ["--level", "1", "--reps", "2", "--n", "60", "--draws", "5",
+         "--losses", "loglik"],
+    ], ids=["rho", "level"])
+    def test_checked_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                    argv):
+        def no_fits(*args):
+            raise AssertionError("fitted before checking its arguments")
+
+        monkeypatch.setattr(diag_module, "wlb_sample_batch", no_fits)
+        out = tmp_path / "o"
+        code = main(["simulate", "--error", "normal", *argv,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tables_recompute_from_study(self, tmp_path, monkeypatch):
+        # every cell is the study's scores, formatted with repr
+        monkeypatch.delenv("ORDROBUST_WORKERS", raising=False)
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--error", "normal", "--rho", "0.2", "--reps", "2",
+            "--n", "60", "--draws", "25", "--losses", "loglik,dp",
+            "--tunings", "0.3,0.5", "--seed", "1", "--out-dir", str(out),
+        ]) == 0
+        specs = [LossSpec(kind="loglik"), LossSpec(kind="dp", tuning=0.3),
+                 LossSpec(kind="dp", tuning=0.5)]
+        cells = simulate_study("normal", [0.2], 60, 2, specs, Prior(),
+                               get_link("probit"), WlbConfig(n_draws=25,
+                                                             seed=1))
+        _, mse_rows = read_table(out / "mse.csv")
+        _, cov_rows = read_table(out / "coverage.csv")
+        for cell, mse_row, cov_row in zip(cells, mse_rows, cov_rows,
+                                          strict=True):
+            log_mb = np.log(cell.mse_beta)
+            log_md = np.log(cell.mse_delta)
+            assert mse_row[2:] == [repr(float(v)) for v in (
+                0.2, log_mb.mean(), log_mb.std(ddof=1) / np.sqrt(2),
+                log_md.mean(), log_md.std(ddof=1) / np.sqrt(2))]
+            assert cov_row[2:] == [repr(float(v)) for v in (
+                0.2, 100.0 * cell.cp_beta.mean(),
+                100.0 * cell.cp_delta.mean())]
 
     def test_one_pool_per_replicate(self, tmp_path, recorded_pools):
         # the fits of one replicate share one batch and so one pool

@@ -140,6 +140,12 @@ class TestLoadCsv:
         with pytest.raises(PreprocessError, match="no data rows"):
             load_csv(path, PreprocessSpec(response="y"))
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # the second x would replace the first, and the design repeat it
+        path = write_csv(tmp_path, "y,x,x\n1,0.5,-0.5\n2,1.5,-1.5\n")
+        with pytest.raises(PreprocessError, match="column 'x' more than once"):
+            load_csv(path, PreprocessSpec(response="y"))
+
     def test_response_not_in_header(self, tmp_path):
         path = write_csv(tmp_path, "a,x\n1,0\n")
         with pytest.raises(ContractError, match="response column"):

@@ -24,6 +24,8 @@ from ordrobust import (
     posterior_robustness_sweep,
     robustness_report,
     score_estimates,
+    simulate_contaminated,
+    simulate_study,
     summarize,
     wlb_sample,
 )
@@ -377,6 +379,74 @@ class TestSweep:
         with pytest.raises(ContractError, match="unit"):
             posterior_robustness_sweep(data, specs, bad, Prior(), PROBIT,
                                        config)
+
+
+@pytest.fixture(scope="module")
+def study_setup():
+    specs = [LossSpec(kind="loglik"), LossSpec(kind="dp", tuning=0.5)]
+    config = WlbConfig(n_draws=8, seed=21)
+    cells = simulate_study("normal", [0.0, 0.3], 60, 3, specs, Prior(),
+                           PROBIT, config)
+    return specs, config, cells
+
+
+class TestSimulateStudy:
+    def test_structure(self, study_setup):
+        specs, _, cells = study_setup
+        assert [(c.rho, c.spec) for c in cells] == [
+            (0.0, specs[0]), (0.0, specs[1]), (0.3, specs[0]), (0.3, specs[1]),
+        ]
+        for c in cells:
+            for scores in (c.mse_beta, c.mse_delta, c.cp_beta, c.cp_delta):
+                assert scores.shape == (3,)
+
+    def test_cell_reproducible_from_derived_seeds(self, study_setup):
+        # the last cell rebuilt from standalone fits with the documented
+        # per-replicate seed derivation
+        from dataclasses import replace
+
+        specs, config, cells = study_setup
+
+        def derived(seed, key):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+            return int(ss.generate_state(1, np.uint64)[0])
+
+        ests, cis = [], []
+        for rep in range(3):
+            data, truth = simulate_contaminated(
+                0.3, "normal", 60, derived(config.seed, (1, rep, 0)))
+            fit = wlb_sample(specs[1], data, Prior(), PROBIT,
+                             replace(config, seed=derived(config.seed,
+                                                          (1, rep, 2))))
+            table = summarize(fit)
+            ests.append(Theta(beta=table.mean[:3], delta=table.mean[3:]))
+            cis.append(np.column_stack([table.lower, table.upper]))
+        want = score_estimates(ests, cis, truth)
+        for key, scores in want.items():
+            assert np.array_equal(getattr(cells[-1], key), scores), key
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"rhos": [0.2, 0.7]}, "rho must lie"),
+        ({"rhos": [0.2, 0.20]}, "--rho names 0.2 more than once"),
+        ({"rhos": []}, "--rho needs at least one value"),
+        ({"reps": 1}, "--reps must be at least 2"),
+        ({"level": 1.0}, "level must be in"),
+        ({"n": 10}, "n must be at least 50"),
+        ({"error": "cauchy"}, "unknown error"),
+    ], ids=["rho-range", "rho-repeated", "rho-empty", "reps", "level", "n",
+            "error"])
+    def test_arguments_checked_before_any_fit(self, monkeypatch, kwargs,
+                                              match):
+        def no_fits(*args):
+            raise AssertionError("fitted before checking its arguments")
+
+        monkeypatch.setattr(diag_module, "wlb_sample_batch", no_fits)
+        args = dict(error="normal", rhos=[0.2], n=60, reps=2,
+                    specs=[LossSpec(kind="loglik")], prior=Prior(),
+                    link=PROBIT, config=WlbConfig(n_draws=5, seed=0))
+        args.update(kwargs)
+        with pytest.raises(ContractError, match=match):
+            simulate_study(**args)
 
 
 class TestScoreEstimates:

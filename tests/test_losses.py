@@ -17,7 +17,6 @@ from ordrobust import (
     category_probs,
     get_link,
     log_prior,
-    loo_log_ratio,
     minimize,
     unconstrained_to_theta,
     unit_dp_loss,
@@ -25,6 +24,8 @@ from ordrobust import (
     weighted_objective,
     weighted_objective_gradient,
 )
+
+from ordrobust.losses import _loo_log_ratios, _observed_index
 
 import oracles
 
@@ -525,41 +526,41 @@ class TestLooLogRatio:
         theta = Theta(beta=[0.8], delta=[-0.9, 0.7])
         return data, theta
 
+    def ratios(self, spec, theta, data):
+        """Every unit's ratio from the category-major probability table."""
+        P = category_probs(theta, data.X, PROBIT).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _loo_log_ratios(spec, P, _observed_index(data))
+
     def test_loglik_is_negative_log_density(self):
         data, theta = self.make_toy()
+        got = self.ratios(LossSpec(kind="loglik"), theta, data)
         for i in range(3):
             f = category_probs(theta, data.X[i], PROBIT)[data.y[i] - 1]
-            got = loo_log_ratio(LossSpec(kind="loglik"), theta, data, i,
-                                Prior(), PROBIT)
-            assert_allclose(got, -np.log(f), rtol=1e-12)
+            assert_allclose(got[i], -np.log(f), rtol=1e-12)
 
     def test_additive_kinds_are_negative_unit_losses(self):
         data, theta = self.make_toy()
+        dp = self.ratios(LossSpec(kind="dp", tuning=0.5), theta, data)
+        gg = self.ratios(LossSpec(kind="gamma_general", tuning=0.5), theta,
+                         data)
         for i in range(3):
-            got = loo_log_ratio(LossSpec(kind="dp", tuning=0.5), theta, data,
-                                i, Prior(), PROBIT)
             want = -unit_dp_loss(theta, data.X[i], int(data.y[i]), 0.5, PROBIT)
-            assert_allclose(got, want, rtol=1e-12)
-            got = loo_log_ratio(
-                LossSpec(kind="gamma_general", tuning=0.5), theta, data, i,
-                Prior(), PROBIT,
-            )
+            assert_allclose(dp[i], want, rtol=1e-12)
             want = -unit_gamma_loss(theta, data.X[i], int(data.y[i]), 0.5, PROBIT)
-            assert_allclose(got, want, rtol=1e-12)
+            assert_allclose(gg[i], want, rtol=1e-12)
 
     def test_gamma_synthetic_against_kernel_oracle(self):
         data, theta = self.make_toy()
+        got = self.ratios(LossSpec(kind="gamma_synthetic", tuning=0.5), theta,
+                          data)
         for i in range(3):
-            got = loo_log_ratio(
-                LossSpec(kind="gamma_synthetic", tuning=0.5), theta, data, i,
-                Prior(), PROBIT,
-            )
             want = oracles.direct_loo_log_ratio(
                 "gamma_synthetic", 0.5, theta, data.X, data.y, i, PROBIT
             )
-            assert_allclose(got, want, rtol=1e-12)
+            assert_allclose(got[i], want, rtol=1e-12)
 
-    def test_gamma_synthetic_dominating_unit_raises(self):
+    def test_gamma_synthetic_dominating_unit_is_nonfinite(self):
         # unit 0 holds the entire synthetic loss sum, so removing it
         # leaves log(0); removing either other unit changes nothing
         data = Dataset(
@@ -567,18 +568,9 @@ class TestLooLogRatio:
         )
         theta = Theta(beta=[1.0], delta=[0.0])
         spec = LossSpec(kind="gamma_synthetic", tuning=1.5)
-        with pytest.raises(DegenerateObjectiveError):
-            loo_log_ratio(spec, theta, data, 0, Prior(), PROBIT)
-        assert loo_log_ratio(spec, theta, data, 1, Prior(), PROBIT) == 0.0
-
-    def test_index_validation(self):
-        data, theta = self.make_toy()
-        with pytest.raises(ContractError):
-            loo_log_ratio(LossSpec(kind="loglik"), theta, data, 3, Prior(),
-                          PROBIT)
-        with pytest.raises(ContractError):
-            loo_log_ratio(LossSpec(kind="loglik"), theta, data, -1, Prior(),
-                          PROBIT)
+        got = self.ratios(spec, theta, data)
+        assert not np.isfinite(got[0])
+        assert got[1] == 0.0
 
 
 class TestObjectiveInvariants:
