@@ -9,13 +9,14 @@ Four subcommands wire the library into reproducible runs:
 
 main is the one run frame: it times the run, checks the seed, resolves
 the worker count and the Prior once, and passes both to the
-subcommand, which returns the input files it read.  main then writes
-manifest.json: the parsed flags with the resolved worker count, the
-seed, the library version, sha256 digests of those inputs, and the
-wall time.  All files are written atomically, and --out-dir is created
-only when the first of them is written, so a run that fails before
-that leaves no directory.  All numeric cells are printed with repr, so
-reruns with the same manifest are byte-identical.
+subcommand, which returns the input files it read.  It checks --level,
+and the 2 usable draws every fit's summary needs, before any fit.
+main then writes manifest.json: the parsed flags with the resolved
+worker count, the seed, the library version, sha256 digests of those
+inputs, and the wall time.  All files are written atomically, and
+--out-dir is created only when the first of them is written, so a run
+that fails before that leaves no directory.  All numeric cells are
+printed with repr, so reruns with the same manifest are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 sampling failure,
 4 I/O error.
@@ -37,6 +38,7 @@ from .datasim import ERROR_LINKS, PreprocessError, PreprocessSpec, load_csv
 from .diagnostics import (
     Contamination,
     UnstableIndexError,
+    _check_level,
     _derived_seed,
     posterior_robustness_sweep,
     robustness_report,
@@ -449,6 +451,11 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         if args.seed < 0:
             raise ContractError("--seed must be nonnegative")
+        if getattr(args, "from_summary", None) is None and args.draws < 2:
+            raise ContractError(
+                f"--draws {args.draws} leaves fewer than 2 usable draws")
+        if hasattr(args, "level"):
+            _check_level(args.level)
         workers = _resolve_workers(args)
         prior = Prior(sd_beta=args.prior_sd, sd_cut=args.prior_sd)
         inputs = args.func(args, workers, prior)
@@ -468,3 +475,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -96,11 +96,17 @@ class PreprocessSpec:
             )
         if "response" not in obj:
             raise ContractError("preprocess spec needs a 'response' key")
-        return cls(
-            response=str(obj["response"]),
-            edges=tuple(obj["edges"]) if obj.get("edges") is not None else None,
-            columns=dict(obj.get("columns", {})),
-        )
+        edges, columns = obj.get("edges"), obj.get("columns", {})
+        if edges is not None and not (isinstance(edges, list) and all(
+                type(e) in (int, float) and math.isfinite(e) for e in edges)):
+            raise ContractError("preprocess key 'edges' must be an array of "
+                                f"finite numbers, got {edges!r}")
+        if not (isinstance(columns, dict)
+                and all(isinstance(a, str) for a in columns.values())):
+            raise ContractError("preprocess key 'columns' must map column "
+                                f"names to action names, got {columns!r}")
+        return cls(response=str(obj["response"]), columns=dict(columns),
+                   edges=None if edges is None else tuple(edges))
 
 
 def _parse_float(cell: str, line: int, name: str) -> float:

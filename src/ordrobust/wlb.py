@@ -23,20 +23,20 @@ finite-difference Hessian, and a batch fits one pilot per dataset.  A
 draw is one minimization from that start, and its flag is its status.
 
 The minimizer is a dense BFGS that runs a block of independent
-problems in lock step: each round, one call of the block's value and
-gradient (ObjectiveCore.block_value_and_grad) moves every unfinished
-row to its next trial point, and finished rows leave the block.  The
-draws of a chunk are minimized this way, _block_size(core) at a time,
-so the objective pass's fixed cost is shared by the block.  A step is
+problems in lock step: each round, one fg call moves every unfinished
+row to its next trial point, and finished rows leave the block.  A
+chunk is one lock-step solve; a pass holds at most _block_size rows:
+_block_pass packs each round's unfinished draws into passes of
+ObjectiveCore.block_value_and_grad, all full but the last.  A step is
 accepted by the Armijo test or, where Armijo can no longer resolve the
 decrease from rounding, by the approximate Wolfe test of Hager & Zhang
 (2005).  Every row keeps the contract the sampler needs: the lowest
 iterate seen on every exit that is not converged, an honest status on
 every exit path, and tolerance of objectives that return +inf or nan in
 far regions (the step is shrunk until the value is finite).  No product
-runs across the rows, so a row's bits do not depend on its block, and
-the (seed, b) determinism holds whatever the worker count.  minimize is
-the one-row case, used for the pilot fit and the shared start.
+runs across the rows, so a row's bits depend neither on its pass nor on
+the worker count.  minimize is the one-row case, used for the pilot fit
+and the shared start.
 
 A fit's draws are stored as one (B, d) matrix in natural coordinates
 (beta, delta), decoded in one call; Thetas are built on demand.
@@ -79,9 +79,9 @@ _CURVATURE_FLOOR = 1e-10
 # or is flagged max_iters after _MAX_ITERS iterations.
 _MAX_ITERS = 500
 _GRAD_TOL = 1e-6
-# Element budget of one block pass: a chunk's draws are minimized
-# together in blocks of max(1, _BLOCK_ELEMENTS // (n * M)) rows.  Small
-# tables gain most, as each pass's fixed cost is shared by more rows.
+# Element budget of one objective pass: a chunk is one lock-step solve,
+# and a pass holds at most _block_size = max(1, _BLOCK_ELEMENTS // (n*M))
+# rows.  Small tables gain most, as a pass's fixed cost is shared more.
 # Past about 15,000 elements (120 KB per (M, B, n) table, of which a
 # pass keeps over a dozen alive) the per-row cost of the robust passes
 # jumps by half on a 2 MB L2 cache: at n = 1000, M = 5 between blocks
@@ -202,8 +202,9 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
     then an index array of the unfinished rows in block order.  Each
     round makes one fg call, which moves every unfinished row to its
     next trial point; a row's gradient is never read where its value is
-    not finite.  Rows share nothing but that call: the rules below act
-    on each row alone, and every operation is elementwise or a
+    not finite; finished rows leave, so X holds unfinished rows only.
+    Rows share nothing but that call: every rule below is one masked
+    update of all rows, and every operation is elementwise or a
     reduction within a row, so a row's result does not depend on the
     other rows of its block.
 
@@ -246,9 +247,7 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
     # replaced, never written in place, so best_* may share them.
     rows = np.flatnonzero(live)
     k = rows.size
-    x, fx, g = X0, F, G
-    if k < B:
-        x, fx, g, gn = x[rows], fx[rows], g[rows], gn[rows]
+    x, fx, g, gn = X0[rows], F[rows], G[rows], gn[rows]
     if H0 is None:
         H, ident = np.zeros((k, d, d)), np.ones(k, dtype=bool)
     else:
@@ -267,37 +266,25 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
         fin = np.isfinite(Ft)
         gfin = np.isfinite(Gt).all(axis=1)
         acc = fin & (Ft <= fx + _ARMIJO_C1 * step * slope)
-        fail = acc & ~gfin
-        if np.count_nonzero(acc) < k:
-            near = fin & gfin & ~acc & (Ft <= fx + _WOLFE_FTOL * np.abs(fx))
-            if np.count_nonzero(near):
-                with np.errstate(invalid="ignore", over="ignore"):
-                    dd = _rowdot(Gt, pdir)
-                acc |= near & (_WOLFE_LOW * slope <= dd) & (dd <= _WOLFE_HIGH * slope)
-            step = np.where(acc, 1.0, 0.5 * step)
-            nback = np.where(acc, 0, nback + 1)
-            fail = (acc & ~gfin) | (nback == _MAX_BACKTRACKS)
+        near = fin & gfin & ~acc & (Ft <= fx + _WOLFE_FTOL * np.abs(fx))
+        if np.count_nonzero(near):
+            with np.errstate(invalid="ignore", over="ignore"):
+                dd = _rowdot(Gt, pdir)
+            acc |= near & (_WOLFE_LOW * slope <= dd) & (dd <= _WOLFE_HIGH * slope)
+        step = np.where(acc, 1.0, 0.5 * step)
+        nback = np.where(acc, 0, nback + 1)
         moved = acc & gfin
-        n_moved = np.count_nonzero(moved)
-        if n_moved == k:
-            H, ident = _bfgs_update(H, ident, Xt - x, Gt - g)
-            x, fx, g = Xt, Ft, Gt
-        elif n_moved:
-            m = np.flatnonzero(moved)
-            H[m], ident[m] = _bfgs_update(H[m], ident[m], Xt[m] - x[m], Gt[m] - g[m])
-            x = np.where(moved[:, None], Xt, x)
-            fx = np.where(moved, Ft, fx)
-            g = np.where(moved[:, None], Gt, g)
+        fail = (acc & ~gfin) | (nback == _MAX_BACKTRACKS)
+        H, ident = _bfgs_update(H, ident, Xt - x, Gt - g, moved)
+        x = np.where(moved[:, None], Xt, x)
+        fx = np.where(moved, Ft, fx)
+        g = np.where(moved[:, None], Gt, g)
         gn = np.sqrt(_rowdot(g, g))
         conv = moved & (gn <= grad_tol)
         better = moved & ~conv & (fx <= best_f)
-        n_better = np.count_nonzero(better)
-        if n_better == k:
-            best_x, best_f, best_gn = x, fx, gn
-        elif n_better:
-            best_x = np.where(better[:, None], x, best_x)
-            best_f = np.where(better, fx, best_f)
-            best_gn = np.where(better, gn, best_gn)
+        best_x = np.where(better[:, None], x, best_x)
+        best_f = np.where(better, fx, best_f)
+        best_gn = np.where(better, gn, best_gn)
         capped = moved & ~conv & (n_iters == max_iters)
         done = conv | capped | fail
         if np.count_nonzero(done):
@@ -314,26 +301,16 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
             keep = ~done
             rows, moved = rows[keep], moved[keep]
             k = rows.size
-            if not k:
-                break
-            n_moved = np.count_nonzero(moved)
             x, fx, g, gn, H, ident = x[keep], fx[keep], g[keep], gn[keep], H[keep], ident[keep]
             best_x, best_f, best_gn = best_x[keep], best_f[keep], best_gn[keep]
             n_iters, n_evals = n_iters[keep], n_evals[keep]
             pdir, slope, step, nback = pdir[keep], slope[keep], step[keep], nback[keep]
-        if n_moved == k:
-            n_iters += 1
-            step, nback = np.ones(k), np.zeros(k, dtype=int)
-            pdir, slope, ident = _directions(H, g, gn, ident)
-        elif n_moved:
-            # Rows still in their line search keep their direction.
-            n_iters += moved
-            step = np.where(moved, 1.0, step)
-            nback = np.where(moved, 0, nback)
-            p, sl, idn = _directions(H, g, gn, ident)
-            pdir = np.where(moved[:, None], p, pdir)
-            slope = np.where(moved, sl, slope)
-            ident = np.where(moved, idn, ident)
+        # Rows still in their line search keep their direction.
+        n_iters += moved
+        p, sl, idn = _directions(H, g, gn, ident)
+        pdir = np.where(moved[:, None], p, pdir)
+        slope = np.where(moved, sl, slope)
+        ident = np.where(moved, idn, ident)
     return out
 
 
@@ -356,31 +333,29 @@ def _directions(H, g, gn, ident):
     return p, slope, ident
 
 
-def _bfgs_update(H, ident, s, yv):
-    """(H, ident) of rows after a step s that changed the gradient by yv.
+def _bfgs_update(H, ident, s, yv, mask):
+    """(H, ident) after the rows in mask step by s and change the gradient by yv.
 
-    Rows whose curvature s.y is not above 1e-10*|s||y| keep H as it
-    is.  An ident row's identity is first put on the scale of the true
+    Rows outside mask, and rows whose curvature s.y is not above
+    1e-10*|s||y|, keep H and ident; their s and yv may not be finite.
+    An ident row's identity is first put on the scale of the true
     inverse Hessian, (s.y / y.y) I, and then updated.
     """
-    sy = _rowdot(s, yv)
-    yy = _rowdot(yv, yv)
-    curv = sy > _CURVATURE_FLOOR * np.sqrt(_rowdot(s, s)) * np.sqrt(yy)
-    if np.count_nonzero(curv) < curv.size:
-        H, ident = H.copy(), ident.copy()
-        c = np.flatnonzero(curv)
-        H[c], ident[c] = _bfgs_update(H[c], ident[c], s[c], yv[c])
-        return H, ident
-    if np.count_nonzero(ident):
-        scaled = np.eye(s.shape[1]) * (sy / yy)[:, None, None]
-        H = np.where(ident[:, None, None], scaled, H)
-        ident = np.zeros_like(ident)
-    rho = 1.0 / sy
-    Hy = np.einsum("rij,rj->ri", H, yv)
-    outer = s[:, :, None] * Hy[:, None, :]
-    return H - rho[:, None, None] * (outer + outer.transpose(0, 2, 1)) + (
-        rho * (1.0 + rho * _rowdot(yv, Hy)))[:, None, None] * (
-        s[:, :, None] * s[:, None, :]), ident
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sy = _rowdot(s, yv)
+        yy = _rowdot(yv, yv)
+        upd = mask & (sy > _CURVATURE_FLOOR * np.sqrt(_rowdot(s, s)) * np.sqrt(yy))
+        Hs = H
+        if np.count_nonzero(ident):
+            scaled = np.eye(s.shape[1]) * (sy / yy)[:, None, None]
+            Hs = np.where(ident[:, None, None], scaled, H)
+        rho = 1.0 / sy
+        Hy = np.einsum("rij,rj->ri", Hs, yv)
+        outer = s[:, :, None] * Hy[:, None, :]
+        Hn = Hs - rho[:, None, None] * (outer + outer.transpose(0, 2, 1)) + (
+            rho * (1.0 + rho * _rowdot(yv, Hy)))[:, None, None] * (
+            s[:, :, None] * s[:, None, :])
+    return np.where(upd[:, None, None], Hn, H), ident & ~upd
 
 
 def _initial_point(data: Dataset, link: Link) -> np.ndarray:
@@ -460,16 +435,12 @@ def _fd_hessian(core: ObjectiveCore, x: np.ndarray, w: np.ndarray) -> np.ndarray
     """Central-difference Hessian of core's objective at x under weights w.
 
     The gradients at the 2d rows x +- h_j e_j, h_j = eps**(1/3) max(1, |x_j|),
-    come from block passes no larger than a draw block; symmetrized.
+    come from one _block_pass; symmetrized.
     """
     d = x.size
     h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
     U = np.concatenate([x + np.diag(h), x - np.diag(h)])
-    W = np.broadcast_to(w, (2 * d, w.size))
-    size = _block_size(core)
-    G = np.concatenate([core.block_value_and_grad(U[lo:lo + size],
-                                                  W[lo:lo + size])[1]
-                        for lo in range(0, 2 * d, size)])
+    G = _block_pass(core, U, np.broadcast_to(w, (2 * d, w.size)))[1]
     H = (G[:d] - G[d:]) / (2.0 * h[:, None])
     return 0.5 * (H + H.T)
 
@@ -492,8 +463,20 @@ def _seeded_fit(core: ObjectiveCore, x0: np.ndarray) -> MinimizeResult:
 
 
 def _block_size(core: ObjectiveCore) -> int:
-    """Rows per block pass: as many n x M tables as fit _BLOCK_ELEMENTS."""
+    """Rows per pass: as many n x M tables as fit _BLOCK_ELEMENTS."""
     return max(1, _BLOCK_ELEMENTS // (core.n * core.M))
+
+
+def _block_pass(core: ObjectiveCore, U: np.ndarray, W: np.ndarray):
+    """core.block_value_and_grad of the rows (U[b], W[b]), run in passes
+    of _block_size(core) rows (the last may be short) and concatenated.
+    This is the one place rows are split into passes.
+    """
+    size = _block_size(core)
+    parts = [core.block_value_and_grad(U[lo:lo + size], W[lo:lo + size])
+             for lo in range(0, len(U), size)]
+    return (np.concatenate([f for f, _ in parts]),
+            np.concatenate([g for _, g in parts]))
 
 
 def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
@@ -501,23 +484,20 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
     """(X, flags): the unconstrained result and status of each draw in b_range.
 
     Draw b minimizes the objective under the weights of stream
-    (seed, b), starting at x_start with inverse Hessian H0.  The draws
-    are minimized in lock step, _block_size(core) at a time, each block
-    on one objective pass per round; a draw's result does not depend on
-    the block it shares.
+    (seed, b), starting at x_start with inverse Hessian H0.  The chunk
+    is one lock-step solve, one minimize_block call; a pass holds at
+    most _block_size rows, so each round's live draws fill every pass
+    but its last.  A draw's result does not depend on the rows it
+    shares a pass with.
     """
     W = np.array([
         sample_dirichlet_uniform(core.n, np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
         for b in b_range
     ])
-    size = _block_size(core)
-    results = []
-    for lo in range(0, len(W), size):
-        Wb = W[lo:lo + size]
-        results += minimize_block(
-            lambda X, rows, Wb=Wb: core.block_value_and_grad(X, Wb[rows]),
-            np.broadcast_to(x_start, (len(Wb), x_start.size)), H0=H0)
+    results = minimize_block(lambda X, rows: _block_pass(core, X, W[rows]),
+                             np.broadcast_to(x_start, (len(W), x_start.size)),
+                             H0=H0)
     return (np.array([res.x for res in results]),
             np.array([res.status for res in results]))
 

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from numpy.testing import assert_allclose
 import ordrobust
 import ordrobust.cli as cli_module
 import ordrobust.diagnostics as diag_module
+import ordrobust.wlb as wlb_module
 from ordrobust import (
     Dataset,
     LossSpec,
@@ -25,6 +30,8 @@ from ordrobust import (
     simulate_study,
 )
 from ordrobust.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_inputs(tmp_path, n=40, outlier=False):
@@ -636,6 +643,89 @@ class TestRunFrame:
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub,argv,named", [
+        ("fit", ["--loss", "loglik", "--level", "1.5"], "level"),
+        ("fit", ["--loss", "loglik", "--draws", "1"], "usable draws"),
+        ("residuals", ["--draws", "1"], "usable draws"),
+        ("simulate", ["--error", "normal", "--reps", "2", "--n", "60",
+                      "--losses", "loglik", "--draws", "1"], "usable draws"),
+        ("robustness", ["--mode", "index", "--losses", "loglik",
+                        "--draws", "1"], "usable draws"),
+        ("robustness", ["--mode", "sweep", "--unit", "0", "--omegas", "0,4",
+                        "--losses", "loglik", "--draws", "1"], "usable draws"),
+    ], ids=["fit-level", "fit-draws", "residuals", "simulate", "index",
+            "sweep"])
+    def test_draws_and_level_checked_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, sub, argv, named):
+        def no_fits(*args):
+            raise AssertionError("fitted before checking its arguments")
+
+        for module in (wlb_module, cli_module, diag_module):
+            monkeypatch.setattr(module, "wlb_sample_batch", no_fits)
+        if sub != "simulate":
+            data, pre = make_inputs(tmp_path, n=25)
+            argv = argv + ["--data", data, "--preprocess", pre]
+        out = tmp_path / "o"
+        assert main([sub, "--out-dir", str(out), *argv]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_from_summary_takes_any_draws(self, tmp_path, monkeypatch):
+        # residuals --from-summary fits nothing, so --draws is unused
+        data, pre = make_inputs(tmp_path, n=25)
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--data", data, "--preprocess", pre,
+                     "--loss", "loglik", "--draws", "5",
+                     "--out-dir", str(fit_out)]) == 0
+
+        def no_fits(*args):
+            raise AssertionError("residuals --from-summary fitted")
+
+        monkeypatch.setattr(wlb_module, "wlb_sample_batch", no_fits)
+        out = tmp_path / "res"
+        assert main(["residuals", "--data", data, "--preprocess", pre,
+                     "--from-summary", str(fit_out / "summary.csv"),
+                     "--draws", "1", "--out-dir", str(out)]) == 0
+        assert (out / "residuals.csv").exists()
+
+    @pytest.mark.parametrize("spec,key", [
+        ('{"response": "y", "edges": 5}', "edges"),
+        ('{"response": "y", "edges": ["a"]}', "edges"),
+        ('{"response": "y", "edges": [null]}', "edges"),
+        ('{"response": "y", "edges": "12"}', "edges"),
+        ('{"response": "y", "edges": [true, 2]}', "edges"),
+        ('{"response": "y", "edges": [1, NaN]}', "edges"),
+        ('{"response": "y", "columns": "abc"}', "columns"),
+        ('{"response": "y", "columns": {"x": 3}}', "columns"),
+    ], ids=["number", "string-cell", "null-cell", "string", "bool-cell",
+            "nan-cell", "columns-string", "columns-value"])
+    def test_malformed_preprocess_json(self, tmp_path, capsys, spec, key):
+        data, _ = make_inputs(tmp_path, n=25)
+        pre = tmp_path / "bad.json"
+        pre.write_text(spec + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--data", data, "--preprocess", str(pre),
+                     "--loss", "loglik", "--draws", "5",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_runs_as_a_module(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "ordrobust.cli", *argv], cwd=tmp_path,
+                env=env, capture_output=True, text=True, timeout=120)
+
+        version = run("--version")
+        assert version.returncode == 0
+        assert version.stdout.strip() == ordrobust.__version__
+        usage = run("fit", "--loss", "loglik")
+        assert usage.returncode == 2
+        assert "--data" in usage.stderr
 
 
 class TestRobustness:

@@ -568,6 +568,47 @@ class TestWlbSample:
                 whole.convergence_flags.tolist()
         assert multiprocessing.active_children() == []
 
+    def test_draw_chunk_is_one_solve_in_full_passes(self, monkeypatch):
+        # One worker: the 23 draws are one minimize_block call.  Each of
+        # its rounds splits the live rows into passes of the budget's 7
+        # rows, all full but the last, however many rows have finished.
+        data = toy_data(np.random.default_rng(23), n=30, p=3)
+        monkeypatch.setattr(wlb_module, "_BLOCK_ELEMENTS",
+                            7 * data.n * data.n_categories)
+        passes = []  # rows of every objective pass, serial fits included
+        real_pass = ObjectiveCore.block_value_and_grad
+
+        def spy_pass(core, U, W):
+            passes.append(len(U))
+            return real_pass(core, U, W)
+
+        solves, rounds = [], []  # draw solves; (k, pass rows) per fg call
+        real_block = wlb_module.minimize_block
+
+        def spy_block(fg, X0, *args, **kwargs):
+            if len(X0) == 1:  # a serial fit
+                return real_block(fg, X0, *args, **kwargs)
+            solves.append(len(X0))
+
+            def counted_fg(X, rows):
+                before = len(passes)
+                out = fg(X, rows)
+                rounds.append((len(X), passes[before:]))
+                return out
+
+            return real_block(counted_fg, X0, *args, **kwargs)
+
+        monkeypatch.setattr(ObjectiveCore, "block_value_and_grad", spy_pass)
+        monkeypatch.setattr(wlb_module, "minimize_block", spy_block)
+        wlb_sample(LossSpec(kind="dp", tuning=0.5), data, Prior(), PROBIT,
+                   WlbConfig(n_draws=23, seed=31))
+        assert solves == [23]
+        assert max(passes) == 7
+        assert rounds[0][0] == 23 and min(k for k, _ in rounds) < 7
+        for k, widths in rounds:
+            assert len(widths) == -(-k // 7)
+            assert widths == [7] * (k // 7) + [k % 7] * (k % 7 > 0)
+
     def test_failed_draws_excluded_from_matrix(self):
         pd = PosteriorDraws(
             values=np.array([[0.1, 0.0], [0.2, 0.1], [9.0, 2.0]]),
