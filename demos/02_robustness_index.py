@@ -46,7 +46,7 @@ specs = [
 reports = {}
 for spec in specs:
     fit = wlb_sample(spec, data, prior, link, config)
-    reports[spec.kind] = robustness_report(fit, data, spec, prior, link)
+    reports[spec.kind] = robustness_report(fit, data)
 
 # Index table for the planted units plus the median over the rest.
 print(f"\n{'unit':<8}" + "".join(f"{s.kind:>18}" for s in specs))

@@ -406,7 +406,7 @@ def cmd_robustness(args, workers: int, prior: Prior) -> list:
         fits = wlb_sample_batch(jobs, prior, link)
         rows = []
         for (name, spec), draws in zip(specs, fits):
-            report = robustness_report(draws, data, spec, prior, link)
+            report = robustness_report(draws, data)
             for i in range(data.n):
                 rows.append([
                     name, _tuning_cell(spec), i, report.index[i],

@@ -96,7 +96,11 @@ class PreprocessSpec:
             )
         if "response" not in obj:
             raise ContractError("preprocess spec needs a 'response' key")
+        response = obj["response"]
         edges, columns = obj.get("edges"), obj.get("columns", {})
+        if not isinstance(response, str):
+            raise ContractError("preprocess key 'response' must be a column "
+                                f"name string, got {response!r}")
         if edges is not None and not (isinstance(edges, list) and all(
                 type(e) in (int, float) and math.isfinite(e) for e in edges)):
             raise ContractError("preprocess key 'edges' must be an array of "
@@ -105,7 +109,7 @@ class PreprocessSpec:
                 and all(isinstance(a, str) for a in columns.values())):
             raise ContractError("preprocess key 'columns' must map column "
                                 f"names to action names, got {columns!r}")
-        return cls(response=str(obj["response"]), columns=dict(columns),
+        return cls(response=response, columns=dict(columns),
                    edges=None if edges is None else tuple(edges))
 
 

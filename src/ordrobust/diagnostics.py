@@ -9,9 +9,10 @@ between the two posteriors is estimated self-normalized as
 
 and the index is arccos(A), a geodesic angle in [0, pi/2].  Adding a
 constant to every l_b cancels, so only kernel ratios are needed; no
-density estimation takes place.  An ignorable observation gives
-affinity near 1 and an index near 0; an observation the posterior
-leans on gives an index near pi/2.
+density estimation takes place.  The kernel (loss and tuning) and
+link are the draws' own, so the index reads only the draws and the
+data.  An ignorable observation gives affinity near 1 and an index
+near 0; an observation the posterior leans on gives an index near pi/2.
 
 The omega sweep realizes the definition of posterior robustness
 empirically: one unit is dragged to ever larger outlyingness and the
@@ -91,7 +92,6 @@ class SummaryTable:
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    unit_indices: np.ndarray
     index: np.ndarray     # arccos(affinity), in [0, pi/2]
     affinity: np.ndarray  # in (0, 1]
 
@@ -208,9 +208,9 @@ def _usable(draws: PosteriorDraws) -> np.ndarray:
     return mat
 
 
-def _loo_log_ratio_table(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
-                         link: Link) -> np.ndarray:
-    """Leave-one-out log kernel ratios, (n units, usable draws).
+def _loo_log_ratio_table(draws: PosteriorDraws, data: Dataset) -> np.ndarray:
+    """Leave-one-out log kernel ratios, (n units, usable draws), under
+    the draws' own kernel and link.
 
     Per draw, all n ratios share the same probability table, so the
     table costs one category_probs call per usable draw.
@@ -221,16 +221,15 @@ def _loo_log_ratio_table(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     ell = np.empty((data.n, mat.shape[0]))
     for b, v in enumerate(mat):
         # .T is the category-major table that category_probs transposes.
-        P = category_probs(Theta(beta=v[:p], delta=v[p:]), data.X, link).T
+        P = category_probs(Theta(beta=v[:p], delta=v[p:]), data.X, draws.link).T
         # A unit holding the whole synthetic loss sum leaves log(0);
         # _affinities turns that into UnstableIndexError.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ell[:, b] = _loo_log_ratios(spec, P, obs)
+            ell[:, b] = _loo_log_ratios(draws.spec, P, obs)
     return ell
 
 
-def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
-                     prior: Prior, link: Link, i: int) -> float:
+def fisher_rao_index(draws: PosteriorDraws, data: Dataset, i: int) -> float:
     """Geodesic angle between the full and leave-i-out posteriors.
 
     It equals robustness_report(...).index[i] bit for bit, and costs as
@@ -239,18 +238,14 @@ def fisher_rao_index(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
     """
     if not 0 <= i < data.n:
         raise ContractError(f"unit index {i} outside 0..{data.n - 1}")
-    ell = _loo_log_ratio_table(draws, data, spec, link)
+    ell = _loo_log_ratio_table(draws, data)
     return float(np.arccos(_affinities(ell[i:i + 1], [i])[0]))
 
 
-def robustness_report(draws: PosteriorDraws, data: Dataset, spec: LossSpec,
-                      prior: Prior, link: Link) -> RobustnessReport:
+def robustness_report(draws: PosteriorDraws, data: Dataset) -> RobustnessReport:
     """fisher_rao_index for every unit, from one table of log ratios."""
-    rows = np.arange(data.n)
-    affinity = _affinities(_loo_log_ratio_table(draws, data, spec, link), rows)
-    return RobustnessReport(
-        unit_indices=rows, index=np.arccos(affinity), affinity=affinity
-    )
+    affinity = _affinities(_loo_log_ratio_table(draws, data), range(data.n))
+    return RobustnessReport(index=np.arccos(affinity), affinity=affinity)
 
 
 def _derived_seed(seed: int, key: tuple) -> int:

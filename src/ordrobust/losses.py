@@ -283,8 +283,6 @@ class ObjectiveCore:
 
     def __init__(self, spec: LossSpec, data: Dataset, prior: Prior, link: Link):
         self.spec = spec
-        self.data = data
-        self.prior = prior
         self.link = link
         self.n = data.n
         self.p = data.p
@@ -392,8 +390,7 @@ class ObjectiveCore:
         # each gap coordinate collects the gradient of every later cutpoint.
         tail = np.cumsum(gdelta[:, ::-1], axis=1)[:, ::-1]
         grad[:, self.p] = tail[:, 0]
-        if K > 1:
-            grad[:, self.p + 1:] = gaps * tail[:, 1:]
+        grad[:, self.p + 1:] = gaps * tail[:, 1:]
         grad -= lp_grad
         return value, grad
 

@@ -204,15 +204,14 @@ def _probs_from_args(A: np.ndarray, link: Link):
     P = np.empty(A.shape[:-2] + (K + 1, A.shape[-1]))
     P[..., 0, :] = cdfA[..., 0, :]
     P[..., K, :] = sfA[..., K - 1, :]
-    if K > 1:
-        # Both forms telescope to the same value; the survival form is
-        # used when the interval midpoint is positive, where cdf values
-        # are near 1 and their difference would cancel.
-        P[..., 1:K, :] = np.where(
-            (A[..., :-1, :] + A[..., 1:, :]) > 0,
-            sfA[..., :-1, :] - sfA[..., 1:, :],
-            cdfA[..., 1:, :] - cdfA[..., :-1, :],
-        )
+    # Both forms telescope to the same value; the survival form is used
+    # when the interval midpoint is positive, where cdf values are near 1
+    # and their difference would cancel.  With K = 1 every slice is empty.
+    P[..., 1:K, :] = np.where(
+        (A[..., :-1, :] + A[..., 1:, :]) > 0,
+        sfA[..., :-1, :] - sfA[..., 1:, :],
+        cdfA[..., 1:, :] - cdfA[..., :-1, :],
+    )
     # Every entry is at most 1 already, so only the floor can bind.
     np.maximum(P, PROB_FLOOR, out=P)
     return P, gA

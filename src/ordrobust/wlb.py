@@ -182,7 +182,7 @@ def minimize(fg, x0, max_iters: int = _MAX_ITERS, grad_tol: float = _GRAD_TOL,
     """
     x0 = np.asarray(x0, dtype=float)
 
-    def one_row(X, rows):
+    def one_row(X, _rows):
         f, g = fg(X[0])
         f = float(f)
         if not math.isfinite(f):
@@ -198,11 +198,11 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
 
     Row b starts at X0[b] (X0 is (B, d)).  fg(X, rows) returns the pair
     (values (k,), gradients (k, d)) at the rows of X (k, d), which are
-    the block's rows `rows`: slice(None) while every row is unfinished,
-    then an index array of the unfinished rows in block order.  Each
-    round makes one fg call, which moves every unfinished row to its
-    next trial point; a row's gradient is never read where its value is
-    not finite; finished rows leave, so X holds unfinished rows only.
+    the block's rows `rows`, an index array of the unfinished rows in
+    block order.  Each round makes one fg call, which moves every
+    unfinished row to its next trial point; a row's gradient is never
+    read where its value is not finite; finished rows leave, so X holds
+    unfinished rows only.
     Rows share nothing but that call: every rule below is one masked
     update of all rows, and every operation is elementwise or a
     reduction within a row, so a row's result does not depend on the
@@ -231,7 +231,7 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
     X0 = np.array(X0, dtype=float)
     B, d = X0.shape
     out = [None] * B
-    F, G = fg(X0, slice(None))
+    F, G = fg(X0, np.arange(B))
     F, G = np.array(F, dtype=float), np.array(G, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         ok = np.isfinite(F) & np.isfinite(G).all(axis=1)
@@ -260,7 +260,7 @@ def minimize_block(fg, X0, max_iters: int = _MAX_ITERS,
 
     while k:
         Xt = x + step[:, None] * pdir
-        Ft, Gt = fg(Xt, slice(None) if k == B else rows)
+        Ft, Gt = fg(Xt, rows)
         Ft, Gt = np.asarray(Ft, dtype=float), np.asarray(Gt, dtype=float)
         n_evals += 1
         fin = np.isfinite(Ft)
@@ -435,12 +435,12 @@ def _fd_hessian(core: ObjectiveCore, x: np.ndarray, w: np.ndarray) -> np.ndarray
     """Central-difference Hessian of core's objective at x under weights w.
 
     The gradients at the 2d rows x +- h_j e_j, h_j = eps**(1/3) max(1, |x_j|),
-    come from one _block_pass; symmetrized.
+    come from one _block_pass, all under the weights w; symmetrized.
     """
     d = x.size
     h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
     U = np.concatenate([x + np.diag(h), x - np.diag(h)])
-    G = _block_pass(core, U, np.broadcast_to(w, (2 * d, w.size)))[1]
+    G = _block_pass(core, U, w[None], np.zeros(2 * d, dtype=int))[1]
     H = (G[:d] - G[d:]) / (2.0 * h[:, None])
     return 0.5 * (H + H.T)
 
@@ -467,13 +467,14 @@ def _block_size(core: ObjectiveCore) -> int:
     return max(1, _BLOCK_ELEMENTS // (core.n * core.M))
 
 
-def _block_pass(core: ObjectiveCore, U: np.ndarray, W: np.ndarray):
-    """core.block_value_and_grad of the rows (U[b], W[b]), run in passes
-    of _block_size(core) rows (the last may be short) and concatenated.
-    This is the one place rows are split into passes.
+def _block_pass(core: ObjectiveCore, U: np.ndarray, W: np.ndarray, rows):
+    """core.block_value_and_grad of the rows (U[b], W[rows[b]]), run in
+    passes of _block_size(core) rows (the last may be short) and
+    concatenated.  This is the one place rows are split into passes;
+    each pass copies only its own rows of W.
     """
     size = _block_size(core)
-    parts = [core.block_value_and_grad(U[lo:lo + size], W[lo:lo + size])
+    parts = [core.block_value_and_grad(U[lo:lo + size], W[rows[lo:lo + size]])
              for lo in range(0, len(U), size)]
     return (np.concatenate([f for f, _ in parts]),
             np.concatenate([g for _, g in parts]))
@@ -495,7 +496,7 @@ def _run_draws(core: ObjectiveCore, config: WlbConfig, x_start: np.ndarray,
             np.random.SeedSequence(entropy=config.seed, spawn_key=(b,))))
         for b in b_range
     ])
-    results = minimize_block(lambda X, rows: _block_pass(core, X, W[rows]),
+    results = minimize_block(lambda X, rows: _block_pass(core, X, W, rows),
                              np.broadcast_to(x_start, (len(W), x_start.size)),
                              H0=H0)
     return (np.array([res.x for res in results]),

@@ -299,7 +299,7 @@ def test_criterion_7_index_flags_heterogeneous_units(criterion_recorder):
     for name, spec in specs.items():
         fit = wlb_sample(spec, data, PRIOR, PROBIT,
                          WlbConfig(n_draws=300, seed=708))
-        index[name] = robustness_report(fit, data, spec, PRIOR, PROBIT).index
+        index[name] = robustness_report(fit, data).index
     ll = index["loglik"]
     top5 = set(np.argsort(ll)[-5:].tolist())
     conforming = np.array([ll[i] for i in range(data.n) if i not in set(planted)])
@@ -447,7 +447,7 @@ def test_criterion_10_oracle_equivalences(criterion_recorder):
     )
     worst_idx = 0.0
     for i in range(data.n):
-        got = fisher_rao_index(pd, data, spec, PRIOR, PROBIT, i)
+        got = fisher_rao_index(pd, data, i)
         ells = []
         for atom, c in zip(atoms, counts):
             probs = oracles.direct_category_probs(

@@ -698,8 +698,12 @@ class TestRunFrame:
         ('{"response": "y", "edges": [1, NaN]}', "edges"),
         ('{"response": "y", "columns": "abc"}', "columns"),
         ('{"response": "y", "columns": {"x": 3}}', "columns"),
+        ('{"response": null}', "response"),
+        ('{"response": 5}', "response"),
+        ('{"response": ["y"]}', "response"),
     ], ids=["number", "string-cell", "null-cell", "string", "bool-cell",
-            "nan-cell", "columns-string", "columns-value"])
+            "nan-cell", "columns-string", "columns-value", "response-null",
+            "response-number", "response-array"])
     def test_malformed_preprocess_json(self, tmp_path, capsys, spec, key):
         data, _ = make_inputs(tmp_path, n=25)
         pre = tmp_path / "bad.json"

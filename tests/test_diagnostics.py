@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestFisherRaoIndex:
             param_names=("x1", "delta1", "delta2"),
         )
         for i in range(3):
-            got = fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, i)
+            got = fisher_rao_index(pd, data, i)
             # affinity 1 up to log-sum-exp roundoff; arccos near 1 maps
             # ulp noise to sqrt scale
             assert got < 1e-7
@@ -143,32 +144,35 @@ class TestFisherRaoIndex:
         for atom, c in zip(atoms, counts):
             thetas.extend([atom] * c)
         spec = LossSpec(kind="dp", tuning=0.5)
-        pd = PosteriorDraws(
-            values=np.array([t.as_vector() for t in thetas]),
-            spec=spec,
-            link=PROBIT,
-            seed=0,
-            convergence_flags=np.array(["converged"] * 100),
-            param_names=("x1", "delta1", "delta2"),
-        )
-        for i in range(data.n):
-            got = fisher_rao_index(pd, data, spec, Prior(), PROBIT, i)
-            ells = []
-            for atom, c in zip(atoms, counts):
-                probs = oracles.direct_category_probs(
-                    PROBIT, atom.beta, atom.delta, data.X[i]
-                )
-                ell = -oracles.direct_unit_dp(probs, int(data.y[i]), 0.5)
-                ells.extend([ell] * c)
-            num = sum(math.exp(l / 2.0) for l in ells) / 100.0
-            den = math.sqrt(sum(math.exp(l) for l in ells) / 100.0)
-            want = math.acos(min(num / den, 1.0))
-            assert abs(got - want) < 1e-6
+        # The index reads the draws' own link: the same atoms drawn
+        # under logit must match the oracle under logit.
+        for link in (PROBIT, get_link("logit")):
+            pd = PosteriorDraws(
+                values=np.array([t.as_vector() for t in thetas]),
+                spec=spec,
+                link=link,
+                seed=0,
+                convergence_flags=np.array(["converged"] * 100),
+                param_names=("x1", "delta1", "delta2"),
+            )
+            for i in range(data.n):
+                got = fisher_rao_index(pd, data, i)
+                ells = []
+                for atom, c in zip(atoms, counts):
+                    probs = oracles.direct_category_probs(
+                        link, atom.beta, atom.delta, data.X[i]
+                    )
+                    ell = -oracles.direct_unit_dp(probs, int(data.y[i]), 0.5)
+                    ells.extend([ell] * c)
+                num = sum(math.exp(l / 2.0) for l in ells) / 100.0
+                den = math.sqrt(sum(math.exp(l) for l in ells) / 100.0)
+                want = math.acos(min(num / den, 1.0))
+                assert abs(got - want) < 1e-6
 
     def test_bounds(self):
         rng = np.random.default_rng(33)
-        data, spec, fit = small_fit(rng, kind="gamma_general", tuning=0.5)
-        rep = robustness_report(fit, data, spec, Prior(), PROBIT)
+        data, _, fit = small_fit(rng, kind="gamma_general", tuning=0.5)
+        rep = robustness_report(fit, data)
         assert np.all(rep.affinity > 0.0)
         assert np.all(rep.affinity <= 1.0)
         assert np.all(rep.index >= 0.0)
@@ -178,7 +182,7 @@ class TestFisherRaoIndex:
         data = Dataset(y=[1, 2], X=[[0.0], [0.1]], n_categories=2)
         pd = fake_draws([0.5], flags=["converged"])
         with pytest.raises(ContractError, match="usable"):
-            fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0)
+            fisher_rao_index(pd, data, 0)
 
     def test_unstable_ratios_raise(self, monkeypatch):
         data = Dataset(y=[1, 2], X=[[0.0], [0.1]], n_categories=2)
@@ -189,7 +193,7 @@ class TestFisherRaoIndex:
 
         monkeypatch.setattr(diag_module, "_loo_log_ratios", broken)
         with pytest.raises(UnstableIndexError, match="non-finite"):
-            fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0)
+            fisher_rao_index(pd, data, 0)
 
     @pytest.mark.parametrize("i", [2, -1])
     def test_unit_outside_range(self, i):
@@ -197,7 +201,7 @@ class TestFisherRaoIndex:
         data = Dataset(y=[1, 2], X=[[0.0], [0.1]], n_categories=2)
         pd = fake_draws([0.4, 0.5, 0.6])
         with pytest.raises(ContractError, match=f"unit index {i} outside 0..1"):
-            fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, i)
+            fisher_rao_index(pd, data, i)
 
 
 class TestRobustnessReport:
@@ -211,11 +215,11 @@ class TestRobustnessReport:
         ]
         data, _, fit = small_fit(rng, n=12, B=20, seed=6)
         for kind, tuning in cases:
-            spec = LossSpec(kind=kind, tuning=tuning)
-            rep = robustness_report(fit, data, spec, Prior(), PROBIT)
+            scored = replace(fit, spec=LossSpec(kind=kind, tuning=tuning))
+            rep = robustness_report(scored, data)
             assert rep.index.shape == (12,)
             for i in range(12):
-                want = fisher_rao_index(fit, data, spec, Prior(), PROBIT, i)
+                want = fisher_rao_index(scored, data, i)
                 assert rep.index[i] == want
 
     def test_affinities_match_per_unit_loop(self):
@@ -256,22 +260,22 @@ class TestRobustnessReport:
         pd = draws([1.0] * 4)
         with np.errstate(divide="ignore"):
             with pytest.raises(UnstableIndexError):
-                robustness_report(pd, data, pd.spec, Prior(), PROBIT)
+                robustness_report(pd, data)
         # the log(0) behind it does not leak a RuntimeWarning first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnstableIndexError):
-                robustness_report(pd, data, pd.spec, Prior(), PROBIT)
+                robustness_report(pd, data)
             # the per-unit path applies the same policy
             with pytest.raises(UnstableIndexError):
-                fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0)
+                fisher_rao_index(pd, data, 0)
 
         # one dominated draw of four: both paths drop its ratio and
         # average over the three identical draws left
         pd = draws([1.0, 0.01, 0.01, 0.01])
-        rep = robustness_report(pd, data, pd.spec, Prior(), PROBIT)
+        rep = robustness_report(pd, data)
         assert rep.index[0] == 0.0
-        assert fisher_rao_index(pd, data, pd.spec, Prior(), PROBIT, 0) == 0.0
+        assert fisher_rao_index(pd, data, 0) == 0.0
 
 
 class TestContaminationSpec:
